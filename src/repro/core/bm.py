@@ -28,7 +28,7 @@ the device works (asynchronous), unless the partition is configured
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Set, Tuple
+from typing import Generator, Iterable, List, Optional, Set, Tuple
 
 from repro.core.config import (
     NVEM,
@@ -146,6 +146,8 @@ class BufferManager:
         self._log_mirror = config.recovery.log_mirror
         #: Diagnostics.
         self.eviction_stalls = 0
+        #: Per-partition prewarm decisions, built on first use.
+        self._prewarm_plan_cache: Optional[list] = None
 
     # ------------------------------------------------------------------
     # Page access (fix)
@@ -813,11 +815,11 @@ class BufferManager:
     # ------------------------------------------------------------------
     # Warm start
     # ------------------------------------------------------------------
-    def prewarm_reference(self, partition_index: int, page_no: int,
-                          is_write: bool) -> None:
-        """Replay one reference through the cache levels without timing.
+    def prewarm(self, refs: Iterable[Tuple[int, int, bool]]) -> None:
+        """Replay references through the cache levels without timing.
 
-        The paper reports steady-state measurements; reaching LRU steady
+        ``refs`` yields ``(partition_index, page_no, is_write)``.  The
+        paper reports steady-state measurements; reaching LRU steady
         state for a 2000-frame buffer over a 5-million-page ACCOUNT file
         by simulation alone wastes most of a run on warm-up.  Prewarming
         replays a representative reference stream through the *state* of
@@ -826,52 +828,98 @@ class BufferManager:
         of displaced dirty pages.  Measurement then starts from realistic
         buffer contents.
         """
-        if self._part_mem_resident[partition_index]:
-            return
-        # Under FORCE, resident pages are clean at steady state (forced
-        # at every commit); only NOFORCE leaves modifications in place.
-        is_write = is_write and self._noforce
-        key = (partition_index, page_no)
-        entry = self.mm.get(key)
-        if entry is not None:
-            if is_write and not entry.dirty:
-                entry.dirty = True
-            return
-        part = self.partitions[partition_index]
-        nvem_resident = self.storage.is_nvem_resident(part.name)
-        if not nvem_resident:
-            if self.nvem_cache is not None and \
-                    part.nvem_caching is not NVEMCachingMode.NONE and \
-                    key in self.nvem_cache:
-                self.nvem_cache.get(key)  # touch
-                if self.cm.update_strategy is UpdateStrategy.NOFORCE:
-                    self.nvem_cache.remove(key)
-            else:
-                unit = self.storage.unit_of(part.name)
-                if unit is not None and unit.cache is not None:
-                    decision = unit.cache.on_read(key)
-                    if not decision.hit:
-                        unit.cache.on_read_fill(key)
-        while len(self.mm) >= self.mm.capacity:
-            victim = self.mm.victim()
-            self._prewarm_displace(victim)
-            self.mm.remove(victim.key)
-        self.mm.insert(key, dirty=is_write)
+        plans = self._prewarm_plans()
+        mm = self.mm
+        mm_get, mm_insert = mm.get, mm.insert
+        mm_remove, mm_victim = mm.remove, mm.victim
+        capacity = mm.capacity
+        nvem = self.nvem_cache
+        noforce = self._noforce
+        nvem_insert = self._prewarm_nvem_insert
+        # Nothing else touches main memory during the replay, so its
+        # occupancy is counted here instead of asked for per miss.
+        occupancy = len(mm)
+        for partition_index, page_no, is_write in refs:
+            plan = plans[partition_index]
+            if plan is None:
+                continue  # memory-resident
+            # Under FORCE, resident pages are clean at steady state
+            # (forced at every commit); only NOFORCE leaves
+            # modifications in place.
+            is_write = is_write and noforce
+            key = (partition_index, page_no)
+            entry = mm_get(key)
+            if entry is not None:
+                if is_write and not entry.dirty:
+                    entry.dirty = True
+                continue
+            nvem_cached, unit_cache, _, _ = plan
+            if nvem_cached and key in nvem:
+                nvem.get(key)  # touch
+                if noforce:
+                    nvem.remove(key)
+            elif unit_cache is not None:
+                if not unit_cache.on_read(key).hit:
+                    unit_cache.on_read_fill(key)
+            while occupancy >= capacity:
+                victim = mm_victim()
+                vkey = victim.key
+                # The displaced page migrates into the NVEM cache, or a
+                # dirty one is destaged through its unit's cache with
+                # the disk update treated as already complete.
+                _, vcache, migrate_clean, migrate_dirty = plans[vkey[0]]
+                if victim.dirty:
+                    if migrate_dirty:
+                        nvem_insert(vkey)
+                    elif vcache is not None:
+                        vcache.on_disk_write_complete(
+                            vcache.on_write(vkey).entry)
+                elif migrate_clean:
+                    nvem_insert(vkey)
+                mm_remove(vkey)
+                occupancy -= 1
+            mm_insert(key, dirty=is_write)
+            occupancy += 1
 
-    def _prewarm_displace(self, victim) -> None:
-        """Model the destination of a page displaced during prewarm."""
-        vpart = self.partitions[victim.key[0]]
-        if self.storage.is_nvem_resident(vpart.name):
-            return
-        if self._migrates_to_nvem(vpart, dirty=victim.dirty):
-            self._prewarm_nvem_insert(victim.key)
-            return
-        if victim.dirty:
-            unit = self.storage.unit_of(vpart.name)
-            if unit is not None and unit.cache is not None:
-                decision = unit.cache.on_write(victim.key)
-                # Treat the disk update as already complete.
-                unit.cache.on_disk_write_complete(decision.entry)
+    def prewarm_reference(self, partition_index: int, page_no: int,
+                          is_write: bool) -> None:
+        """Replay one reference (see :meth:`prewarm`)."""
+        self.prewarm(((partition_index, page_no, is_write),))
+
+    def _prewarm_plans(self) -> list:
+        """Per-partition prewarm decisions, indexed by partition.
+
+        ``None`` for a memory-resident partition, else ``(nvem_cached,
+        unit_cache, migrate_clean, migrate_dirty)``: whether a miss
+        probes the NVEM cache, the home unit's cache (or ``None``) and
+        whether a clean / dirty page displaced from main memory migrates
+        into NVEM.  An NVEM-resident partition touches no cache level,
+        so its plan is all-false.  Everything follows from the
+        allocation map, which is fixed after construction, so the plans
+        are built once (lazily: subclasses finish their own
+        construction before :meth:`_migrates_to_nvem` is asked).
+        """
+        if self._prewarm_plan_cache is not None:
+            return self._prewarm_plan_cache
+        storage = self.storage
+        caching = self.nvem_cache is not None
+        plans: list = []
+        for part, mem_resident in zip(self.partitions,
+                                      self._part_mem_resident):
+            if mem_resident:
+                plans.append(None)
+                continue
+            resident = storage.is_nvem_resident(part.name)
+            unit = storage.unit_of(part.name)  # None when NVEM-resident
+            plans.append((
+                not resident and caching
+                and part.nvem_caching is not NVEMCachingMode.NONE,
+                unit.cache if unit is not None else None,
+                not resident and self._migrates_to_nvem(part, dirty=False),
+                not resident and self._migrates_to_nvem(part, dirty=True),
+            ))
+        self._prewarm_plan_cache = plans
+        return plans
 
     def _prewarm_nvem_insert(self, key) -> None:
         cache = self.nvem_cache

@@ -326,10 +326,26 @@ class _PrewarmFanout:
     def __init__(self, system: "DistributedSystem"):
         self.system = system
 
+    def prewarm(self, refs) -> None:
+        first, *others = [node.bm for node in self.system.nodes]
+        first.prewarm(self._fan_out(refs, others))
+
+    @staticmethod
+    def _fan_out(refs, others):
+        """Feed ``refs`` to the first node's bulk replay; each time it
+        asks for the next reference, replay the previous one into the
+        other nodes.  That keeps the order reference by reference across
+        the nodes, not node by node: the nodes share one storage
+        subsystem and so its disk caches."""
+        for ref in refs:
+            yield ref
+            one = (ref,)
+            for bm in others:
+                bm.prewarm(one)
+
     def prewarm_reference(self, partition_index: int, page_no: int,
                           is_write: bool) -> None:
-        for node in self.system.nodes:
-            node.bm.prewarm_reference(partition_index, page_no, is_write)
+        self.prewarm(((partition_index, page_no, is_write),))
 
 
 class DistributedSystem:

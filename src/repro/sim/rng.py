@@ -11,7 +11,8 @@ Fig. 4.4's buffer-size axis) smooth.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from bisect import bisect_right
+from typing import Callable, Dict, List, Sequence
 
 __all__ = ["RandomStreams"]
 
@@ -94,6 +95,31 @@ class RandomStreams:
             if x < acc:
                 return i
         return len(weights) - 1
+
+    def weighted_chooser(self, name: str,
+                         weights: Sequence[float]) -> Callable[[], int]:
+        """A draw-for-draw equivalent of :meth:`choice_weighted` with
+        fixed ``weights``: the running sums are added up once, in the
+        same order, and each call makes the same single ``random()``
+        draw, so indices and stream state match exactly."""
+        cumulative: List[float] = []
+        total = 0.0
+        for w in weights:
+            if w < 0:
+                raise ValueError("negative weight")
+            total += w
+            cumulative.append(total)
+        if total <= 0:
+            raise ValueError("weights sum to zero")
+        draw = self.stream(name).random
+        last = len(cumulative) - 1
+
+        def choose() -> int:
+            # First index whose running sum exceeds the draw; a draw
+            # that rounds up to the total falls through to the last.
+            return min(bisect_right(cumulative, draw() * total), last)
+
+        return choose
 
     def geometric_like_size(self, name: str, mean: float,
                             minimum: int = 1) -> int:

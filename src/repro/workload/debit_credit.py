@@ -211,14 +211,17 @@ class DebitCreditWorkload:
                            max((u.cache_size for u in
                                 system.config.disk_units), default=0))
         n_txs = max(4000, 3 * (capacity + second_level))
-        streams = system.streams
-        prewarm_ref = system.bm.prewarm_reference
+        system.bm.prewarm(self._prewarm_refs(system.streams, n_txs))
+
+    def _prewarm_refs(self, streams, n_txs: int):
+        """The page references of ``n_txs`` transactions, drawn lazily
+        (the replay makes no draws, so the RNG order is unchanged)."""
         for _ in range(n_txs):
             acct_page, hist_page, bt_page = self._prewarm_pages(streams)
-            prewarm_ref(P_ACCOUNT, acct_page, True)
-            prewarm_ref(P_HISTORY, hist_page, True)
-            prewarm_ref(P_BRANCH_TELLER, bt_page, True)
-            prewarm_ref(P_BRANCH_TELLER, bt_page, True)
+            yield P_ACCOUNT, acct_page, True
+            yield P_HISTORY, hist_page, True
+            yield P_BRANCH_TELLER, bt_page, True
+            yield P_BRANCH_TELLER, bt_page, True
 
     # -- SOURCE ------------------------------------------------------------
     def start(self, system) -> None:

@@ -128,14 +128,19 @@ class Trace:
     def __len__(self) -> int:
         return len(self.tx_types)
 
+    def references(self, lo: int,
+                   hi: int) -> Iterator[Tuple[int, int, bool]]:
+        """``(file_id, page, is_write)`` of references ``lo:hi``, read
+        from list views of the columns (one ``tolist`` per column costs
+        a fraction of indexing numpy scalars one by one)."""
+        return zip(self.file_ids[lo:hi].tolist(), self.pages[lo:hi].tolist(),
+                   self.writes[lo:hi].tolist())
+
     def transaction(self, index: int) -> TraceTransaction:
         lo = int(self.offsets[index])
         hi = int(self.offsets[index + 1])
-        refs = [
-            (int(self.file_ids[j]), int(self.pages[j]), bool(self.writes[j]))
-            for j in range(lo, hi)
-        ]
-        return TraceTransaction(self.type_names[self.tx_types[index]], refs)
+        return TraceTransaction(self.type_names[self.tx_types[index]],
+                                self.references(lo, hi))
 
     def iter_transactions(self) -> Iterator[TraceTransaction]:
         for i in range(len(self)):
@@ -323,20 +328,14 @@ class TraceWorkload:
             system.tm.submit(self._to_transaction(ttx))
 
     def prewarm(self, system, max_accesses: int = 120_000) -> None:
-        """Warm the cache levels by silently replaying trace references."""
-        fed = 0
-        for i in range(len(self.trace)):
-            lo = int(self.trace.offsets[i])
-            hi = int(self.trace.offsets[i + 1])
-            for j in range(lo, hi):
-                system.bm.prewarm_reference(
-                    int(self.trace.file_ids[j]),
-                    int(self.trace.pages[j]),
-                    bool(self.trace.writes[j]),
-                )
-            fed += hi - lo
-            if fed >= max_accesses:
-                return
+        """Warm the cache levels by silently replaying trace references:
+        whole transactions, up to the first one that brings the count
+        to ``max_accesses``."""
+        trace = self.trace
+        ends = trace.offsets[1:]
+        cut = int(np.searchsorted(ends, max_accesses, side="left"))
+        stop = int(ends[cut]) if cut < len(ends) else trace.num_accesses
+        system.bm.prewarm(trace.references(0, stop))
 
     def start(self, system) -> None:
         if self.arrival_rate is not None:

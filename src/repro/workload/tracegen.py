@@ -168,8 +168,14 @@ def generate_trace(profile: Optional[RealWorkloadProfile] = None,
     writes_needed = profile.target_write_fraction * profile.target_accesses
     write_prob = min(1.0, writes_needed / max(1.0, expected_update_accesses))
 
+    pick_sub = streams.weighted_chooser("tg-sub", profile.locality_probs)
+    pick_file = [
+        streams.weighted_chooser(f"tg-file-{t}", weights)
+        for t, weights in enumerate(type_file_weights)
+    ]
+
     def pick_page(type_idx: int, file_idx: int) -> int:
-        sub = streams.choice_weighted("tg-sub", list(profile.locality_probs))
+        sub = pick_sub()
         low, high = bounds[file_idx][sub]
         return streams.uniform_int(f"tg-page-{file_idx}", low, high)
 
@@ -214,12 +220,10 @@ def generate_trace(profile: Optional[RealWorkloadProfile] = None,
             "tg-update", update_prob
         )
         refs = []
-        weights = type_file_weights[type_idx]
         affinity = type_files[type_idx]
+        pick_affine = pick_file[type_idx]
         for _ in range(size):
-            file_idx = affinity[
-                streams.choice_weighted(f"tg-file-{type_idx}", weights)
-            ]
+            file_idx = affinity[pick_affine()]
             is_write = is_update and streams.bernoulli(
                 "tg-write", write_prob
             )

@@ -1,7 +1,12 @@
 """Unit tests for traces: format, I/O, workload, generator."""
 
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.experiments.trace_setup import trace_for
+from repro.sim.rng import RandomStreams
 from repro.workload.trace import (
     Trace,
     TraceFile,
@@ -118,6 +123,27 @@ class TestTraceWorkload:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             TraceWorkload(tiny_trace(), arrival_rate=0.0)
+
+    @pytest.mark.parametrize("max_accesses, fed", [
+        (-1, 2), (0, 2), (2, 2), (3, 4), (4, 4), (5, 5), (10**6, 5),
+    ])
+    def test_prewarm_stops_after_the_transaction_reaching_the_cap(
+            self, max_accesses, fed):
+        """Whole transactions, up to the first one that brings the
+        replayed count to ``max_accesses`` (transaction sizes 2, 2, 1)."""
+
+        class RecordingBM:
+            def prewarm(self, refs):
+                self.refs = list(refs)
+
+        class System:
+            bm = RecordingBM()
+
+        trace = tiny_trace()
+        TraceWorkload(trace, arrival_rate=1.0).prewarm(System, max_accesses)
+        expected = [ref for tx in trace.iter_transactions()
+                    for ref in tx.refs][:fed]
+        assert System.bm.refs == expected
 
     def test_per_type_rates_unknown_type(self):
         from repro.core.config import CMConfig, LogAllocation, NVEM, NVEMConfig, SystemConfig
@@ -259,3 +285,74 @@ class TestTraceGenerator:
             RealWorkloadProfile(locality_sizes=(0.5, 0.5, 0.5)).validate()
         with pytest.raises(ValueError):
             RealWorkloadProfile(update_tx_fraction=1.5).validate()
+
+
+#: sha256 over the registered fast trace's columns (generator seed 42),
+#: little-endian, in the order tx_types, offsets, file_ids, pages,
+#: writes.  Every fast trace-driven figure replays this trace, so a
+#: generator change that moves it must be deliberate.
+FAST_TRACE_SHA256 = \
+    "1d7d4a57d4dcebc0d6415e5e991fd3a513ef95df0f2f23ce6677651b7dfb710f"
+
+
+def test_fast_trace_content_is_pinned():
+    trace = trace_for(fast=True)
+    digest = hashlib.sha256()
+    for column in (trace.tx_types, trace.offsets, trace.file_ids,
+                   trace.pages, trace.writes):
+        digest.update(column.astype(column.dtype.newbyteorder("<"))
+                      .tobytes())
+    assert (len(trace), trace.num_accesses) == (1_500, 89_353)
+    assert digest.hexdigest() == FAST_TRACE_SHA256
+
+
+class TestWeightedChooser:
+    """``weighted_chooser`` is a drop-in for repeated ``choice_weighted``
+    draws with fixed weights: same indices, same stream state."""
+
+    weights = st.lists(
+        st.one_of(st.just(0.0),
+                  st.floats(min_value=1e-9, max_value=1e9),
+                  st.integers(min_value=0, max_value=1000)),
+        min_size=1, max_size=12,
+    )
+
+    @given(weights=weights, draws=st.integers(min_value=1, max_value=80),
+           seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_choice_weighted(self, weights, draws, seed):
+        assume(sum(weights) > 0)
+        scanned, chosen = RandomStreams(seed), RandomStreams(seed)
+        choose = chosen.weighted_chooser("s", weights)
+        assert [choose() for _ in range(draws)] == \
+            [scanned.choice_weighted("s", weights) for _ in range(draws)]
+        assert chosen.stream("s").getstate() == \
+            scanned.stream("s").getstate()
+
+    def test_boundary_draws(self):
+        """Draws landing exactly on a running sum, and a draw at the
+        total (the linear scan's fall-through), pick the same index."""
+
+        class Scripted:
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self):
+                return self.values.pop(0)
+
+        weights = [1.0, 0.0, 1.0, 0.0, 2.0, 0.0]
+        values = [0.0, 0.25, 0.5, 0.75, 1.0, 0.999]
+        scanned, chosen = RandomStreams(1), RandomStreams(1)
+        scanned._streams["s"] = Scripted(values)
+        chosen._streams["s"] = Scripted(values)
+        choose = chosen.weighted_chooser("s", weights)
+        expected = [scanned.choice_weighted("s", weights) for _ in values]
+        assert [choose() for _ in values] == expected == [0, 2, 4, 4, 5, 4]
+
+    def test_rejects_what_choice_weighted_rejects(self):
+        streams = RandomStreams(1)
+        for bad in ([1.0, -0.5], [0.0, 0.0], []):
+            with pytest.raises(ValueError):
+                streams.choice_weighted("s", bad)
+            with pytest.raises(ValueError):
+                streams.weighted_chooser("s", bad)
