@@ -29,10 +29,9 @@ import argparse
 import json
 import platform
 import sys
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bench import WORKLOADS, calibration
+from repro.bench import WORKLOADS, calibration, timed_ms
 
 #: Committed measurements of earlier PRs, kept for the trajectory.
 #: PR 1 = pre-overhaul kernel; PR 3 = post kernel overhaul, before the
@@ -77,24 +76,25 @@ TOLERANCE_OVERRIDES: Dict[str, float] = {
     "trace_overhead": 0.60,
 }
 
-#: (name, workload, description, max_repeats).  ``max_repeats`` caps the
-#: timing repetitions for benchmarks whose single run is seconds long
-#: (the end-to-end sweep), so the suite stays CI-friendly.
+#: Timing repetitions for benchmarks whose single run is seconds long
+#: (the end-to-end sweep, the media rebuild, the trace measured
+#: window), so the suite stays CI-friendly.
+MAX_REPEATS: Dict[str, int] = {
+    "fig4_1_fast_sweep": 2,
+    "media_redo": 2,
+    "trace_measure": 3,
+}
+
+#: (name, workload, description, max_repeats).
 BENCHMARKS: List[Tuple[str, Callable[[], int], str, Optional[int]]] = [
-    (name, fn, desc,
-     2 if name in ("fig4_1_fast_sweep", "media_redo") else None)
+    (name, fn, desc, MAX_REPEATS.get(name))
     for name, (fn, desc) in WORKLOADS.items()
 ]
 
 
 # -- harness -------------------------------------------------------------
 def _time_ms(fn: Callable[[], int], repeats: int) -> Dict[str, float]:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - t0) * 1e3)
-    times.sort()
+    times = sorted(timed_ms(fn) for _ in range(repeats))
     return {
         "ms_min": round(times[0], 3),
         "ms_median": round(times[len(times) // 2], 3),
@@ -113,7 +113,7 @@ def run_suite(repeats: int = 5) -> Dict:
         "benchmarks": {},
     }
     for name, fn, desc, max_repeats in BENCHMARKS:
-        fn()  # warm-up (imports, caches)
+        timed_ms(fn)  # warm-up (imports, caches)
         n = repeats if max_repeats is None else min(repeats, max_repeats)
         timing = _time_ms(fn, n)
         timing["description"] = desc

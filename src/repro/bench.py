@@ -28,6 +28,9 @@ Workloads:
 * ``prewarm_trace`` — the cache prewarm of one ``fig4_6`` point (NVEM
   cache 2000, MM 250) on the fast trace: the setup every trace-driven
   sweep point pays before its first simulated event.
+* ``trace_measure`` — the warm-up and measure phases of that same
+  point, prewarm excluded: the trace-driven measured window, where
+  buffer misses, NVEM transfers and disk I/O dominate.
 * ``restart_replay`` — crash-recovery restart replay (log scan + redo).
 * ``fig4_1_fast_sweep`` — the registry-driven fig4_1 fast sweep end to
   end: what an experiment author actually waits for.
@@ -36,11 +39,16 @@ Workloads:
   deserialization, i.e. what an unchanged ``--cache`` rerun costs.
 * ``calibration`` — fixed pure-Python spin loop; the machine-speed
   yardstick used to normalize all of the above.
+
+A workload function may carry a ``prepare`` attribute: a step that
+:func:`timed_ms` runs, untimed, before every timed call (used to keep
+setup out of a measured-window benchmark).
 """
 
 from __future__ import annotations
 
 import random
+import time
 
 from repro.sim import Environment, PriorityResource, RandomStreams, Resource
 
@@ -58,8 +66,10 @@ __all__ = [
     "bench_restart_replay",
     "bench_same_instant_batch",
     "bench_scheduler_insert_pop",
+    "bench_trace_measure",
     "bench_trace_overhead",
     "calibration",
+    "timed_ms",
 ]
 
 
@@ -248,6 +258,48 @@ def bench_prewarm_trace() -> int:
     return trace.num_accesses
 
 
+class _TraceMeasure:
+    """Warm-up and measure phases of the ``fig4_6`` "NVEM cache 2000"
+    point at MM 250, at the fast profile's lengths.
+
+    :meth:`prepare` builds and prewarms the system the next call runs,
+    so only the simulated window is timed; a call without it prepares
+    its own system first.
+    """
+
+    def __init__(self):
+        self._system = None
+
+    def prepare(self) -> None:
+        from repro.core.model import TransactionSystem
+        from repro.experiments.trace_setup import (
+            trace_config,
+            trace_for,
+            trace_workload,
+        )
+
+        trace = trace_for(fast=True)
+        system = TransactionSystem(trace_config(trace, "nvem", 250),
+                                   trace_workload(trace), seed=1)
+        system.start_workload()  # prewarm + arrival process, no sim time
+        self._system = system
+
+    def __call__(self) -> int:
+        from repro.experiments.api import get_experiment
+
+        if self._system is None:
+            self.prepare()
+        system, self._system = self._system, None
+        profile = get_experiment("fig4_6").profile("fast")
+        results = system.run(warmup=profile.warmup,
+                             duration=profile.duration)
+        assert results.committed > 300
+        return results.committed
+
+
+bench_trace_measure = _TraceMeasure()
+
+
 def bench_restart_replay(redo_pages: int = 1200,
                          log_pages: int = 600) -> int:
     """Crash-recovery restart replay (log scan + redo) on disk units.
@@ -420,6 +472,17 @@ def bench_fig4_1_cached_rerun() -> int:
     return points
 
 
+def timed_ms(fn) -> float:
+    """Wall milliseconds of one workload call; the workload's
+    ``prepare`` step, if it has one, runs first and is not timed."""
+    prepare = getattr(fn, "prepare", None)
+    if prepare is not None:
+        prepare()
+    t0 = time.perf_counter()
+    fn()
+    return (time.perf_counter() - t0) * 1e3
+
+
 def calibration(loops: int = 2_000_000) -> int:
     """Fixed pure-Python spin loop; the machine-speed yardstick."""
     acc = 0
@@ -449,6 +512,10 @@ WORKLOADS = {
     "prewarm_trace": (
         bench_prewarm_trace,
         "fig4_6 NVEM-cache point prewarm: 89k fast-trace references"),
+    "trace_measure": (
+        bench_trace_measure,
+        "fig4_6 NVEM-cache point warm-up + measure (4 + 15 sim s), "
+        "prewarm excluded"),
     "restart_replay": (
         bench_restart_replay,
         "crash restart: 600-page log scan + 1200-page redo on disks"),

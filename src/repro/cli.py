@@ -810,7 +810,7 @@ def _cmd_registry(args) -> int:
 def _cmd_bench(args) -> int:
     """Time or profile kernel workloads (same code the tracked
     ``benchmarks/kernel_bench.py`` harness runs)."""
-    from repro.bench import WORKLOADS
+    from repro.bench import WORKLOADS, timed_ms
 
     if args.list:
         width = max(len(name) for name in WORKLOADS)
@@ -834,11 +834,14 @@ def _cmd_bench(args) -> int:
         profiler = cProfile.Profile()
         for name in names:
             fn = WORKLOADS[name][0]
-            fn()  # warm-up outside the profile (imports, caches)
-            profiler.enable()
+            prepare = getattr(fn, "prepare", None)
+            timed_ms(fn)  # warm-up outside the profile (imports, caches)
             for _ in range(args.repeats):
+                if prepare is not None:
+                    prepare()  # untimed setup stays out of the profile
+                profiler.enable()
                 fn()
-            profiler.disable()
+                profiler.disable()
         profiler.dump_stats(args.profile)
         stats = pstats.Stats(profiler, stream=sys.stderr)
         stats.sort_stats("cumulative").print_stats(25)
@@ -850,20 +853,12 @@ def _cmd_bench(args) -> int:
     width = max(len(name) for name in names)
     for name in names:
         fn, desc = WORKLOADS[name]
-        fn()  # warm-up
+        timed_ms(fn)  # warm-up
         best = min(
-            _timed_ms(fn) for _ in range(args.repeats)
+            timed_ms(fn) for _ in range(args.repeats)
         )
         print(f"{name:<{width}}  {best:9.2f} ms  {desc}")
     return 0
-
-
-def _timed_ms(fn) -> float:
-    import time
-
-    t0 = time.perf_counter()
-    fn()
-    return (time.perf_counter() - t0) * 1e3
 
 
 def _upgrade_legacy_experiment_argv(argv: List[str]) -> List[str]:

@@ -39,7 +39,6 @@ from __future__ import annotations
 from typing import Generator, List, Sequence, Tuple
 
 from repro.core.cc import LockMode, LockOutcome
-from repro.core.config import CCMode
 from repro.core.tm import TransactionManager
 from repro.core.transaction import ObjectRef, Transaction
 from repro.sim import Event
@@ -140,19 +139,23 @@ class ClusterTransactionManager(TransactionManager):
                 yield gate
             btx.start_time = env.now
             work_from = env.now
+            locks = self.locks
+            lock_plan = self._lock_plan
             for ref in piece.refs:
-                part = self.partitions[ref.partition_index]
-                if part.cc_mode is not CCMode.NONE:
+                pidx = ref.partition_index
+                page_level = lock_plan[pidx]
+                if page_level is not None:
+                    lock_id = ((pidx, 0, ref.page_no) if page_level
+                               else (pidx, 1, ref.object_no))
                     mode = LockMode.X if ref.is_write else LockMode.S
-                    outcome = yield from self.locks.acquire(
-                        btx, self._lock_id(ref.partition_index, part, ref),
-                        mode,
-                    )
-                    if outcome is LockOutcome.DEADLOCK:
-                        self.locks.release_all(btx)
-                        if not piece.work_done.triggered:
-                            piece.work_done.succeed("failed")
-                        return
+                    if not locks.try_acquire(btx, lock_id, mode):
+                        outcome = yield from locks.acquire(btx, lock_id,
+                                                           mode)
+                        if outcome is LockOutcome.DEADLOCK:
+                            locks.release_all(btx)
+                            if not piece.work_done.triggered:
+                                piece.work_done.succeed("failed")
+                            return
                 burst = self.cpu.execute_event(btx, self.cm.instr_or)
                 if burst is not None:
                     yield burst
@@ -252,18 +255,21 @@ class ClusterTransactionManager(TransactionManager):
                     self.tracer.span("2pc.work", tx.tx_id, work_from,
                                      env.now)
             if not aborted:
+                locks = self.locks
+                lock_plan = self._lock_plan
                 for ref in tx.refs:
-                    part = self.partitions[ref.partition_index]
-                    if part.cc_mode is not CCMode.NONE:
+                    pidx = ref.partition_index
+                    page_level = lock_plan[pidx]
+                    if page_level is not None:
+                        lock_id = ((pidx, 0, ref.page_no) if page_level
+                                   else (pidx, 1, ref.object_no))
                         mode = LockMode.X if ref.is_write else LockMode.S
-                        outcome = yield from self.locks.acquire(
-                            tx, self._lock_id(ref.partition_index, part,
-                                              ref),
-                            mode,
-                        )
-                        if outcome is LockOutcome.DEADLOCK:
-                            aborted = True
-                            break
+                        if not locks.try_acquire(tx, lock_id, mode):
+                            outcome = yield from locks.acquire(tx, lock_id,
+                                                               mode)
+                            if outcome is LockOutcome.DEADLOCK:
+                                aborted = True
+                                break
                     t0 = env.now
                     burst = self.cpu.execute_event(tx, self.cm.instr_or)
                     if burst is not None:

@@ -81,6 +81,14 @@ _MIGRATES = {
 }
 
 
+def _chain(first: Generator, second: Generator) -> Generator:
+    """Run two simulation generators back to back; returns the
+    second's result."""
+    yield from first
+    result = yield from second
+    return result
+
+
 class _GroupCommitBatch:
     """One in-progress group commit (extension; §3.2 footnote 3)."""
 
@@ -314,17 +322,19 @@ class BufferManager:
                    kind: str) -> Generator:
         """One synchronous NVEM page transfer with the CPU held.
 
-        When the NVEM bank is behind a media-fault gate, the loss wait
-        happens here, CPU-free, *before* the CPU is acquired: a blocked
-        transfer must not pin a CPU server for the whole rebuild (the
-        rebuild needs those CPUs to make progress).
+        Returns the CPU's sync-access generator itself (one frame less
+        per transfer).  When the NVEM bank is behind a media-fault gate,
+        the loss wait runs first, CPU-free, *before* the CPU is
+        acquired: a blocked transfer must not pin a CPU server for the
+        whole rebuild (the rebuild needs those CPUs to make progress).
         """
         device = self.storage.nvem_device
-        wait = getattr(device, "loss_wait", None)
-        if wait is not None:
-            yield from wait(kind)
-        yield from self.cpu.execute_with_sync_access(
+        transfer = self.cpu.execute_with_sync_access(
             tx, self.cm.instr_nvem, device.access(kind))
+        wait = getattr(device, "loss_wait", None)
+        if wait is None:
+            return transfer
+        return _chain(wait(kind), transfer)
 
     def _sync_unit_loss_wait(self, part: PartitionConfig,
                              key) -> Generator:

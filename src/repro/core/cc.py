@@ -97,6 +97,28 @@ class LockManager:
         self._tx_by_id: Dict[int, Transaction] = {}
 
     # -- public API ------------------------------------------------------
+    def try_acquire(self, tx: Transaction, resource_id,
+                    mode: LockMode) -> bool:
+        """Grant the lock now if no wait is needed; a plain call.
+
+        The per-reference hot path: callers try this first and enter
+        the :meth:`acquire` generator only when it returns False, the
+        way :meth:`~repro.core.bm.BufferManager.fix_page_fast` precedes
+        ``fix_page_miss``.  A grant is accounted exactly as an
+        immediate grant inside :meth:`acquire`; a refusal changes no
+        state and records nothing.
+        """
+        locks = self._locks
+        lock = locks.get(resource_id)
+        if lock is None:
+            lock = locks[resource_id] = _Lock()
+        held = tx.held_locks.get(resource_id)
+        if (held is not None and held >= mode) or \
+                self._grant(tx, lock, resource_id, mode, held is not None):
+            self.metrics.record_lock_request(True)
+            return True
+        return False
+
     def acquire(self, tx: Transaction, resource_id, mode: LockMode) -> Generator:
         """Request a lock; yields while waiting.
 
@@ -104,35 +126,14 @@ class LockManager:
         :data:`LockOutcome.DEADLOCK` (the transaction must then abort —
         it is the deadlock victim).
         """
-        lock = self._locks.get(resource_id)
-        if lock is None:
-            lock = self._locks[resource_id] = _Lock()
-
-        held = tx.held_locks.get(resource_id)
-        if held is not None and held >= mode:
-            self.metrics.record_lock_request(True)
+        if self.try_acquire(tx, resource_id, mode):
             return LockOutcome.GRANTED
-
-        is_conversion = held is not None  # held S, requesting X
-        first_attempt = True
+        # The request must wait (the lock entry exists: try_acquire
+        # created it): check for a deadlock first.
+        lock = self._locks[resource_id]
+        is_conversion = resource_id in tx.held_locks  # held S, wants X
+        self.metrics.record_lock_request(False)
         while True:
-            if is_conversion:
-                if lock.compatible(LockMode.X, exclude_tx=tx.tx_id):
-                    lock.holders[tx.tx_id] = LockMode.X
-                    tx.held_locks[resource_id] = LockMode.X
-                    self.metrics.record_lock_request(first_attempt)
-                    return LockOutcome.GRANTED
-            else:
-                if not lock.queue and lock.compatible(mode):
-                    lock.holders[tx.tx_id] = mode
-                    tx.held_locks[resource_id] = mode
-                    self.metrics.record_lock_request(first_attempt)
-                    return LockOutcome.GRANTED
-
-            # The request must wait: check for a deadlock first.
-            if first_attempt:
-                self.metrics.record_lock_request(False)
-                first_attempt = False
             victim = self._select_deadlock_victim(tx, lock, mode,
                                                   is_conversion)
             if victim is None:
@@ -142,8 +143,11 @@ class LockManager:
                 return LockOutcome.DEADLOCK
             # Aborting another victim may have made this very request
             # grantable (the victim might have been queued ahead of us
-            # or held the lock) — re-evaluate from the top.
+            # or held the lock) — re-evaluate.
             self._abort_waiting_victim(victim)
+            if self._grant(tx, lock, resource_id, mode, is_conversion):
+                self.metrics.record_lock_request(False)
+                return LockOutcome.GRANTED
 
         waiter = _Waiter(tx, mode, Event(self.env), is_conversion)
         if is_conversion:
@@ -163,6 +167,24 @@ class LockManager:
         if tx.traced and self.tracer is not None and waited > 0:
             self.tracer.span("lock", tx.tx_id, wait_start, self.env.now)
         return outcome
+
+    @staticmethod
+    def _grant(tx: Transaction, lock: _Lock, resource_id, mode: LockMode,
+               is_conversion: bool) -> bool:
+        """Make ``tx`` a holder if compatible; no accounting.
+
+        A conversion (S held, X wanted) needs every *other* holder
+        gone and jumps the queue; a fresh request needs an empty queue
+        and a compatible holder set."""
+        if is_conversion:
+            if not lock.compatible(LockMode.X, exclude_tx=tx.tx_id):
+                return False
+            mode = LockMode.X
+        elif lock.queue or not lock.compatible(mode):
+            return False
+        lock.holders[tx.tx_id] = mode
+        tx.held_locks[resource_id] = mode
+        return True
 
     def withdraw(self, tx: Transaction) -> None:
         """Remove ``tx``'s pending lock wait without waking it.

@@ -15,6 +15,7 @@ move where a process switch would cost more than the transfer.
 
 from __future__ import annotations
 
+from math import log as _log
 from typing import Generator, Optional
 
 from repro.core.config import CMConfig
@@ -34,7 +35,9 @@ class _CPUBurst(Timeout):
     *creation* (before the request), matching the order the generator
     version established; accounting stays exact — ``wait_cpu`` is
     charged at grant dispatch, ``service_cpu`` only once the burst
-    completed, neither on interrupt.
+    completed, neither on interrupt.  An immediately granted burst holds
+    its CPU as a :meth:`~repro.sim.Resource.claim` (``_request`` is
+    None).
     """
 
     __slots__ = ("_cpus", "_request", "_tx", "_service", "_queued_at")
@@ -56,11 +59,19 @@ class _CPUBurst(Timeout):
         tx = self._tx
         if tx is not None:
             tx.service_cpu += self._service
-        self._cpus.release(self._request)
+        request = self._request
+        if request is None:
+            self._cpus.release_claim()
+        else:
+            self._cpus.release(request)
 
     def _finalize(self, carrier: Event) -> None:
         """Interrupt-delivery finalizer: give back the held CPU."""
-        self._cpus.cancel(self._request)
+        request = self._request
+        if request is None:
+            self._cpus.release_claim()
+        else:
+            self._cpus.cancel(request)
 
     def _abandoned(self):
         if self._state == _PENDING:
@@ -102,21 +113,23 @@ class CPUPool:
                  config: CMConfig):
         self.env = env
         self.config = config
-        self._streams = streams
         self.cpus = Resource(env, config.num_cpus, name="cpu")
+        #: The ``cpu-service`` stream and the MIPS rate, bound once.
+        self._random = streams.stream("cpu-service").random
+        self._ips = config.instructions_per_second
 
     # -- service-time draws --------------------------------------------------
     def _service_seconds(self, mean_instructions: float,
                          exponential: bool) -> float:
+        """Seconds of one burst: the float operations of
+        ``RandomStreams.exponential("cpu-service", mean)`` followed by
+        ``CMConfig.cpu_seconds``, with the stream and rate pre-bound."""
         if mean_instructions <= 0:
             return 0.0
         if exponential:
-            instructions = self._streams.exponential(
-                "cpu-service", mean_instructions
-            )
-        else:
-            instructions = mean_instructions
-        return self.config.cpu_seconds(instructions)
+            return (-_log(1.0 - self._random()) / (1.0 / mean_instructions)
+                    / self._ips)
+        return mean_instructions / self._ips
 
     # -- execution primitives ------------------------------------------------
     def execute_event(self, tx: Optional[Transaction],
@@ -134,11 +147,10 @@ class CPUPool:
         service = self._service_seconds(mean_instructions, exponential)
         env = self.env
         cpus = self.cpus
-        request = cpus.request()
-        if request.callbacks is None:
+        if cpus.claim():
             # Immediate grant; wait_cpu stays exactly 0.0.
             if service <= 0:
-                cpus.release(request)
+                cpus.release_claim()
                 return None
             ev = _CPUBurst.__new__(_CPUBurst)
             ev.env = env
@@ -147,7 +159,7 @@ class CPUPool:
             ev._defused = False
             ev.delay = service
             ev._cpus = cpus
-            ev._request = request
+            ev._request = None
             ev._tx = tx
             ev._service = service
             ev._queued_at = 0.0
@@ -159,6 +171,7 @@ class CPUPool:
             else:
                 env._insert(env._now + service, ev)
             return ev
+        request = cpus.request()
         queued_at = env._now
         if service <= 0:
             # Zero-service burst behind a queue: piggyback on the grant
@@ -209,8 +222,7 @@ class CPUPool:
         """
         service = self._service_seconds(mean_instructions, exponential)
         cpus = self.cpus
-        request = cpus.request()
-        if request.callbacks is None:
+        if cpus.claim():
             # Immediate grant: skip the grant wait, keep the CPU held
             # through the device access exactly as in the general path.
             try:
@@ -223,10 +235,11 @@ class CPUPool:
                 if tx is not None:
                     tx.wait_nvem += self.env.now - access_start
             except BaseException:
-                cpus.cancel(request)
+                cpus.release_claim()
                 raise
-            cpus.release(request)
+            cpus.release_claim()
             return result
+        request = cpus.request()
         queued_at = self.env.now
         try:
             yield request

@@ -17,14 +17,14 @@ restarts.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Generator, List, Optional
 
 from repro.core.bm import BufferManager
 from repro.core.cc import LockManager, LockMode, LockOutcome
 from repro.core.config import CCMode, PartitionConfig, SystemConfig
 from repro.core.cpu import CPUPool
 from repro.core.metrics import MetricsCollector
-from repro.core.transaction import ObjectRef, Transaction
+from repro.core.transaction import Transaction
 from repro.sim import Environment, Event, Interrupt, Resource
 
 __all__ = ["TransactionManager"]
@@ -47,6 +47,15 @@ class TransactionManager:
         #: aborted transactions restart immediately).
         self.streams = streams
         self.partitions: List[PartitionConfig] = list(config.partitions)
+        #: Per-partition lock plan, indexed like ``partitions``: None
+        #: when the partition takes no locks, else True for page-level
+        #: locks ``(partition, 0, page_no)`` and False for object-level
+        #: ones ``(partition, 1, object_no)``.
+        self._lock_plan: List[Optional[bool]] = [
+            None if part.cc_mode is CCMode.NONE
+            else part.cc_mode is CCMode.PAGE
+            for part in self.partitions
+        ]
         #: Span sink (:class:`repro.trace.Tracer`) when the run enabled
         #: tracing; ``None`` keeps the hot path free of per-event
         #: branching (the traced twin of ``_execute`` is selected once
@@ -114,81 +123,84 @@ class TransactionManager:
         return len(victims)
 
     def _lifecycle(self, tx: Transaction) -> Generator:
+        env = self.env
         try:
-            yield from self._lifecycle_body(tx)
+            gate = self._offline_gate
+            if gate is not None:
+                # The CM is down (crash/restart): wait out the outage.
+                # The wait counts as input-queue time, so availability
+                # shows up in the response-time composition.
+                queued_at = env.now
+                try:
+                    yield gate
+                except Interrupt:
+                    self.metrics.record_abort(tx, restarted=False)
+                    return
+                tx.wait_input_queue += env.now - queued_at
+                if tx.traced and self.tracer is not None \
+                        and env.now > queued_at:
+                    self.tracer.span("queue", tx.tx_id, queued_at, env.now)
+            slot = self.mpl_slots.request()
+            queued_at = env.now
+            self.metrics.note_input_queue(self.mpl_slots.queue_length)
+            try:
+                yield slot
+            except Interrupt:
+                # Interrupted while queueing for admission.  The kernel
+                # has already withdrawn the request
+                # (Request._abandoned); the explicit cancel is an
+                # idempotent belt-and-braces for callers that resume
+                # this generator by hand.  Count the shed transaction as
+                # an abort so submitted stays equal to completed +
+                # aborted + in-flight.
+                self.mpl_slots.cancel(slot)
+                self.metrics.record_abort(tx, restarted=False)
+                return
+            tx.wait_input_queue += env.now - queued_at
+            if tx.traced and self.tracer is not None \
+                    and env.now > queued_at:
+                self.tracer.span("queue", tx.tx_id, queued_at, env.now)
+            self.active += 1
+            try:
+                yield from self._execute(tx)
+                # Only a committed lifecycle counts as completed: the
+                # distributed layer reports ``completed`` as the node's
+                # committed count.
+                self.completed += 1
+            except Interrupt:
+                # Externally aborted mid-flight (crash or an abort
+                # policy beyond the paper's requester-aborts default):
+                # back out any pending lock wait and release everything
+                # held, then fall through to the finally block to free
+                # the MPL slot.  The CPU / device / NVEM units the
+                # transaction held are returned by the interrupt-safe
+                # service events themselves.
+                self.locks.withdraw(tx)
+                self.locks.release_all(tx)
+                self.metrics.record_abort(tx, restarted=False)
+            finally:
+                self.active -= 1
+                self.mpl_slots.release(slot)
         finally:
             self._lifecycles.pop(tx.tx_id, None)
 
-    def _lifecycle_body(self, tx: Transaction) -> Generator:
-        gate = self._offline_gate
-        if gate is not None:
-            # The CM is down (crash/restart): wait out the outage.  The
-            # wait counts as input-queue time, so availability shows up
-            # in the response-time composition.
-            queued_at = self.env.now
-            try:
-                yield gate
-            except Interrupt:
-                self.metrics.record_abort(tx, restarted=False)
-                return
-            tx.wait_input_queue += self.env.now - queued_at
-            if tx.traced and self.tracer is not None \
-                    and self.env.now > queued_at:
-                self.tracer.span("queue", tx.tx_id, queued_at, self.env.now)
-        slot = self.mpl_slots.request()
-        queued_at = self.env.now
-        self.metrics.note_input_queue(self.mpl_slots.queue_length)
-        try:
-            yield slot
-        except Interrupt:
-            # Interrupted while queueing for admission.  The kernel has
-            # already withdrawn the request (Request._abandoned); the
-            # explicit cancel is an idempotent belt-and-braces for
-            # callers that resume this generator by hand.  Count the
-            # shed transaction as an abort so submitted stays equal to
-            # completed + aborted + in-flight.
-            self.mpl_slots.cancel(slot)
-            self.metrics.record_abort(tx, restarted=False)
-            return
-        tx.wait_input_queue += self.env.now - queued_at
-        if tx.traced and self.tracer is not None \
-                and self.env.now > queued_at:
-            self.tracer.span("queue", tx.tx_id, queued_at, self.env.now)
-        self.active += 1
-        try:
-            yield from self._execute(tx)
-            # Only a committed lifecycle counts as completed: the
-            # distributed layer reports ``completed`` as the node's
-            # committed count.
-            self.completed += 1
-        except Interrupt:
-            # Externally aborted mid-flight (crash or an abort policy
-            # beyond the paper's requester-aborts default): back out any
-            # pending lock wait and release everything held, then fall
-            # through to the finally block to free the MPL slot.  The
-            # CPU / device / NVEM units the transaction held are
-            # returned by the interrupt-safe service generators
-            # themselves.
-            self.locks.withdraw(tx)
-            self.locks.release_all(tx)
-            self.metrics.record_abort(tx, restarted=False)
-        finally:
-            self.active -= 1
-            self.mpl_slots.release(slot)
-
     # -- execution ------------------------------------------------------
-    def _lock_id(self, part_index: int, part: PartitionConfig,
-                 ref: ObjectRef):
-        if part.cc_mode is CCMode.PAGE:
-            return (part_index, 0, ref.page_no)
-        return (part_index, 1, ref.object_no)
-
+    # Every execute loop (these two, the cluster coordinator and branch,
+    # the data-sharing node) locks a reference the same way: the lock
+    # id comes from ``_lock_plan``, ``LockManager.try_acquire`` grants
+    # without a generator, and only a refused request enters the
+    # ``acquire`` generator to wait (or to learn it is the deadlock
+    # victim).
     def _execute(self, tx: Transaction) -> Generator:
         if tx.traced and self.tracer is not None:
             # One dispatch per transaction; the untraced loop below
             # stays exactly as it always was (zero-overhead invariant).
             yield from self._execute_traced(tx)
             return
+        locks = self.locks
+        try_lock = locks.try_acquire
+        lock_plan = self._lock_plan
+        X, S = LockMode.X, LockMode.S
         while True:
             tx.start_time = self.env.now
             burst = self.cpu.execute_event(tx, self.cm.instr_bot)
@@ -196,16 +208,17 @@ class TransactionManager:
                 yield burst
             aborted = False
             for ref in tx.refs:
-                part = self.partitions[ref.partition_index]
-                if part.cc_mode is not CCMode.NONE:
-                    mode = LockMode.X if ref.is_write else LockMode.S
-                    outcome = yield from self.locks.acquire(
-                        tx, self._lock_id(ref.partition_index, part, ref),
-                        mode,
-                    )
-                    if outcome is LockOutcome.DEADLOCK:
-                        aborted = True
-                        break
+                pidx = ref.partition_index
+                page_level = lock_plan[pidx]
+                if page_level is not None:
+                    lock_id = ((pidx, 0, ref.page_no) if page_level
+                               else (pidx, 1, ref.object_no))
+                    mode = X if ref.is_write else S
+                    if not try_lock(tx, lock_id, mode):
+                        outcome = yield from locks.acquire(tx, lock_id, mode)
+                        if outcome is LockOutcome.DEADLOCK:
+                            aborted = True
+                            break
                 burst = self.cpu.execute_event(tx, self.cm.instr_or)
                 if burst is not None:
                     yield burst
@@ -256,6 +269,10 @@ class TransactionManager:
         """
         tracer = self.tracer
         env = self.env
+        locks = self.locks
+        try_lock = locks.try_acquire
+        lock_plan = self._lock_plan
+        X, S = LockMode.X, LockMode.S
         while True:
             tx.start_time = env.now
             t0 = env.now
@@ -266,16 +283,17 @@ class TransactionManager:
                     tracer.span("cpu.bot", tx.tx_id, t0, env.now)
             aborted = False
             for ref in tx.refs:
-                part = self.partitions[ref.partition_index]
-                if part.cc_mode is not CCMode.NONE:
-                    mode = LockMode.X if ref.is_write else LockMode.S
-                    outcome = yield from self.locks.acquire(
-                        tx, self._lock_id(ref.partition_index, part, ref),
-                        mode,
-                    )
-                    if outcome is LockOutcome.DEADLOCK:
-                        aborted = True
-                        break
+                pidx = ref.partition_index
+                page_level = lock_plan[pidx]
+                if page_level is not None:
+                    lock_id = ((pidx, 0, ref.page_no) if page_level
+                               else (pidx, 1, ref.object_no))
+                    mode = X if ref.is_write else S
+                    if not try_lock(tx, lock_id, mode):
+                        outcome = yield from locks.acquire(tx, lock_id, mode)
+                        if outcome is LockOutcome.DEADLOCK:
+                            aborted = True
+                            break
                 t0 = env.now
                 burst = self.cpu.execute_event(tx, self.cm.instr_or)
                 if burst is not None:

@@ -192,6 +192,12 @@ class _NodeLockManager:
     def _is_central(self) -> bool:
         return self.node_id == self.system.dconfig.central_lock_node
 
+    def try_acquire(self, tx, resource_id, mode: LockMode) -> bool:
+        """Plain-call grant, at the central lock node only: a remote
+        request pays its message round trip inside :meth:`acquire`."""
+        return self._is_central and self.system.locks.try_acquire(
+            tx, resource_id, mode)
+
     def acquire(self, tx, resource_id, mode: LockMode) -> Generator:
         system = self.system
         if not self._is_central:
@@ -243,8 +249,8 @@ class _DistributedTM(TransactionManager):
     def _execute(self, tx: Transaction) -> Generator:
         # Identical control flow to the central TM, plus commit-time
         # GEM propagation and the invalidation broadcast (phase 1.5).
-        from repro.core.config import CCMode
-
+        locks = self.locks
+        lock_plan = self._lock_plan
         while True:
             tx.start_time = self.env.now
             burst = self.cpu.execute_event(tx, self.cm.instr_bot)
@@ -252,16 +258,17 @@ class _DistributedTM(TransactionManager):
                 yield burst
             aborted = False
             for ref in tx.refs:
-                part = self.partitions[ref.partition_index]
-                if part.cc_mode is not CCMode.NONE:
+                pidx = ref.partition_index
+                page_level = lock_plan[pidx]
+                if page_level is not None:
+                    lock_id = ((pidx, 0, ref.page_no) if page_level
+                               else (pidx, 1, ref.object_no))
                     mode = LockMode.X if ref.is_write else LockMode.S
-                    outcome = yield from self.locks.acquire(
-                        tx, self._lock_id(ref.partition_index, part, ref),
-                        mode,
-                    )
-                    if outcome is LockOutcome.DEADLOCK:
-                        aborted = True
-                        break
+                    if not locks.try_acquire(tx, lock_id, mode):
+                        outcome = yield from locks.acquire(tx, lock_id, mode)
+                        if outcome is LockOutcome.DEADLOCK:
+                            aborted = True
+                            break
                 burst = self.cpu.execute_event(tx, self.cm.instr_or)
                 if burst is not None:
                     yield burst

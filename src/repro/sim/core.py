@@ -648,13 +648,6 @@ class Environment:
             self._pending += 1
             self._sched.insert(self._solo_at, seq, solo)
 
-    def _pending_now(self) -> bool:
-        """True if any entry (cancelled included) is due at this very
-        instant — the resource layer's uncontended fast-grant guard."""
-        if self._solo is not None:
-            return self._solo_at <= self._now
-        return self._sched.pending_at(self._now)
-
     def _note_cancelled(self, event: Event) -> None:
         """Account a newly cancelled scheduled event.
 

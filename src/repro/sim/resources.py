@@ -29,6 +29,14 @@ cannot reorder any tie).  With another event pending at ``now`` the
 grant is scheduled on the heap as before, deferring the requester
 behind that event exactly as it always was.
 
+:meth:`Resource.claim` is the same grant without the request object:
+it takes a unit only in exactly the situation where :meth:`request`
+would have returned an already-processed request, and reports whether
+it did.  Hot paths (the fused service events below and the CPU bursts
+of :mod:`repro.core.cpu`) try it first, hold the unit as a bare count,
+and return it with :meth:`Resource.release_claim`; only a contended or
+deferred grant builds a :class:`Request`.
+
 Fast-granted requests behave exactly like heap-granted ones afterwards:
 :meth:`Resource.release` returns the unit, :meth:`Resource.cancel` (and
 the interrupt machinery that funnels into it) treats the
@@ -126,10 +134,12 @@ class _ServiceEvent(Timeout):
 
     Lifecycle:
 
-    * uncontended grant — created already *triggered* at
-      ``now + draw()`` with a pre-seeded ``_finish`` callback that
-      releases the unit when the kernel dispatches it (parked in the
-      environment's solo slot when nothing else is pending at all);
+    * uncontended grant — the unit is taken with :meth:`Resource.claim`
+      (``_request`` stays None) and the event is created already
+      *triggered* at ``now + draw()`` with a pre-seeded ``_finish``
+      callback that releases the unit when the kernel dispatches it
+      (parked in the environment's solo slot when nothing else is
+      pending at all);
     * deferred or queued grant — stays *pending* with ``_on_grant``
       subscribed to the request; the service time is drawn at grant
       dispatch, exactly where the generator version drew it;
@@ -160,11 +170,19 @@ class _ServiceEvent(Timeout):
 
     def _finish(self, event: Event) -> None:
         """Own completion callback (runs before the waiter's resume)."""
-        self._resource.release(self._request)
+        request = self._request
+        if request is None:
+            self._resource.release_claim()
+        else:
+            self._resource.release(request)
 
     def _finalize(self, carrier: Event) -> None:
         """Interrupt-delivery finalizer: give back the held unit."""
-        self._resource.cancel(self._request)
+        request = self._request
+        if request is None:
+            self._resource.release_claim()
+        else:
+            self._resource.cancel(request)
 
     def _abandoned(self):
         if self._state == _PENDING:
@@ -202,7 +220,7 @@ class Resource:
     """
 
     __slots__ = ("env", "capacity", "name", "users", "_waiters", "_live",
-                 "monitor")
+                 "monitor", "_pending_at")
 
     #: Backlog size below which compaction is not worth the sweep.
     _COMPACT_MIN = 32
@@ -218,6 +236,9 @@ class Resource:
         self._waiters: deque = deque()
         self._live = 0
         self.monitor = ResourceMonitor(env, capacity)
+        #: The scheduler's same-instant probe, bound once (the
+        #: environment never swaps its scheduler).
+        self._pending_at = env._sched.pending_at
 
     # -- queue discipline hooks (overridden by PriorityResource) ---------
     def _enqueue(self, request: Request) -> None:
@@ -250,47 +271,79 @@ class Resource:
         """Claim one unit; the returned event fires when granted.
 
         With a free unit and no other event pending at the current
-        instant, the returned request is already *processed*
-        (``callbacks is None``): the grant costs no heap insertion and
-        the requester resumes synchronously at the ``yield``.  See the
-        module docstring for why the same-instant guard keeps the
-        ``(time, seq)`` dispatch order bit-identical.
+        instant (:meth:`claim` succeeds), the returned request is
+        already *processed* (``callbacks is None``): the grant costs no
+        heap insertion and the requester resumes synchronously at the
+        ``yield``.  See the module docstring for why the same-instant
+        guard keeps the ``(time, seq)`` dispatch order bit-identical.
         """
-        self.monitor.requests += 1
         env = self.env
+        if self.claim():
+            # Synchronous grant: skip the Event.__init__ chain and the
+            # succeed/schedule/step round trip entirely.
+            request = Request.__new__(Request)
+            request.env = env
+            request.callbacks = None
+            request._state = _PROCESSED
+            request._ok = True
+            request._defused = False
+            request.resource = self
+            request.priority = priority
+            request.key = None
+            request.cancelled = False
+            request._value = request
+            return request
+        monitor = self.monitor
+        monitor.requests += 1
         if self.users < self.capacity:
+            # Another event is pending at this very instant: take the
+            # unit now but defer the grant behind that event via the
+            # scheduler, exactly as before.
             self.users += 1
-            self.monitor.busy.record(self.users)
-            if not env._pending_now():
-                # Synchronous grant: skip the Event.__init__ chain and
-                # the succeed/schedule/step round trip entirely.
-                request = Request.__new__(Request)
-                request.env = env
-                request.callbacks = None
-                request._state = _PROCESSED
-                request._ok = True
-                request._defused = False
-                request.resource = self
-                request.priority = priority
-                request.key = None
-                request.cancelled = False
-                request._value = request
-                return request
-            # Another event is pending at this very instant: defer the
-            # grant behind it via the scheduler, exactly as before.
+            monitor.busy.record(self.users)
             request = Request(self, priority)
             request.succeed(request)
             return request
         request = Request(self, priority)
         self._enqueue(request)
-        self.monitor.queue.record(self._queue_len())
+        monitor.queue.record(self._queue_len())
         return request
+
+    def claim(self) -> bool:
+        """Take one unit without a :class:`Request`, if uncontended.
+
+        Succeeds when a unit is free and nothing (cancelled entries
+        included) is due at the current instant — exactly when
+        :meth:`request` grants synchronously, with the same accounting;
+        otherwise changes nothing and returns False, and the caller
+        falls back to :meth:`request`.  A claimed unit is returned with
+        :meth:`release_claim`.
+        """
+        users = self.users
+        if users >= self.capacity:
+            return False
+        env = self.env
+        now = env._now
+        if env._solo is not None:
+            if env._solo_at <= now:
+                return False
+        elif env._pending and self._pending_at(now):
+            return False
+        users += 1
+        self.users = users
+        monitor = self.monitor
+        monitor.requests += 1
+        busy = monitor.busy
+        busy._area += busy._level * (now - busy._last)
+        busy._last = now
+        busy._level = users
+        return True
 
     def cancel(self, request: Request) -> None:
         """Withdraw a not-yet-granted request (e.g. on interrupt)."""
         if request.cancelled:
             return
-        if request.triggered:
+        if request._state >= _TRIGGERED:
             # Already granted: treat as release.
             self.release(request)
             return
@@ -300,19 +353,31 @@ class Resource:
 
     def release(self, request: Request) -> None:
         """Return one unit and grant the next waiter, if any."""
-        if not request.triggered:
+        if request._state < _TRIGGERED:
             raise SimulationError("releasing a request that was never granted")
         if request.cancelled:
             raise SimulationError("releasing a cancelled request")
         request.cancelled = True  # guard against double release
-        self.monitor.completions += 1
-        nxt = self._dequeue()
+        self.release_claim()
+
+    def release_claim(self) -> None:
+        """Return one held unit (taken by :meth:`claim`, or the unit of
+        a request :meth:`release` has checked) and grant the next
+        waiter, if any."""
+        monitor = self.monitor
+        monitor.completions += 1
+        nxt = self._dequeue() if self._live else None
         if nxt is not None:
-            self.monitor.queue.record(self._queue_len())
+            monitor.queue.record(self._queue_len())
             nxt.succeed(nxt)
-        else:
-            self.users -= 1
-            self.monitor.busy.record(self.users)
+            return
+        users = self.users - 1
+        self.users = users
+        busy = monitor.busy
+        now = self.env._now
+        busy._area += busy._level * (now - busy._last)
+        busy._last = now
+        busy._level = users
 
     def serve_event(self, draw_delay) -> Event:
         """Acquire one unit, hold it for a drawn service time, release —
@@ -327,17 +392,16 @@ class Resource:
         capacity unit.
         """
         env = self.env
-        request = self.request()
         ev = _ServiceEvent.__new__(_ServiceEvent)
         ev.env = env
         ev._ok = True
         ev._value = None
         ev._defused = False
         ev._resource = self
-        ev._request = request
-        if request.callbacks is None:
-            # Uncontended fast grant: draw now (the same RNG position
-            # the generator version drew at) and schedule completion.
+        if self.claim():
+            # Uncontended grant: draw now (the same RNG position the
+            # generator version drew at) and schedule completion.
+            ev._request = None
             delay = draw_delay()
             if delay < 0:
                 raise ValueError(f"negative timeout delay: {delay!r}")
@@ -352,6 +416,8 @@ class Resource:
                 env._insert(env._now + delay, ev)
             return ev
         # Deferred or queued grant: draw at grant dispatch.
+        request = self.request()
+        ev._request = request
         ev.delay = 0.0
         ev._draw = draw_delay
         ev._state = _PENDING

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from math import log as _log
 from typing import Callable, Dict, List, Sequence
 
 __all__ = ["RandomStreams"]
@@ -25,6 +26,10 @@ _STREAM_SALT = 0x9E3779B97F4A7C15
 #: consuming the identical underlying bits.  Other implementations fall
 #: back to the public API.
 _HAS_RANDBELOW = hasattr(random.Random, "_randbelow")
+
+
+def _zero() -> float:
+    return 0.0
 
 
 class RandomStreams:
@@ -57,6 +62,22 @@ class RandomStreams:
         if mean <= 0:
             return 0.0
         return self.stream(name).expovariate(1.0 / mean)
+
+    def exponential_draw(self, name: str,
+                         mean: float) -> Callable[[], float]:
+        """A draw-for-draw equivalent of :meth:`exponential` with a
+        fixed mean: the stream and the rate are bound once, and each
+        call does the float operations of ``expovariate(1.0 / mean)``
+        on the same single ``random()`` draw."""
+        if mean <= 0:
+            return _zero
+        draw = self.stream(name).random
+        rate = 1.0 / mean
+
+        def exponential() -> float:
+            return -_log(1.0 - draw()) / rate
+
+        return exponential
 
     def uniform(self, name: str, low: float, high: float) -> float:
         return self.stream(name).uniform(low, high)

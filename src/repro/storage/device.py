@@ -101,12 +101,8 @@ class _SemiconductorDevice(StorageDevice):
                                     name=f"{name}.ctrl")
         self.stats = CategoryCounter()
 
-    def _controller_service(self) -> Generator:
-        yield self.controllers.serve_event(lambda: self.controller_delay)
-
-    def _transmission(self) -> Generator:
-        if self.trans_delay > 0:
-            yield self.env.timeout(self.trans_delay)
+    def _controller_time(self) -> float:
+        return self.controller_delay
 
     def controller_utilization(self) -> float:
         return self.controllers.monitor.utilization(self.controllers.capacity)
@@ -150,23 +146,28 @@ class FlashSSDDevice(_SemiconductorDevice):
         page_no = key[-1] if isinstance(key, tuple) else key
         return self.channels[int(page_no) % len(self.channels)]
 
-    def _channel_service(self, key: Hashable, delay: float) -> Generator:
-        yield self._channel_for(key).serve_event(lambda: delay)
+    def _read_time(self) -> float:
+        return self.read_delay
+
+    def _write_time(self) -> float:
+        return self.write_delay
 
     def read(self, key: Hashable) -> Generator:
         start = self.env.now
         self.stats.add("read")
-        yield from self._controller_service()
-        yield from self._channel_service(key, self.read_delay)
-        yield from self._transmission()
+        yield self.controllers.serve_event(self._controller_time)
+        yield self._channel_for(key).serve_event(self._read_time)
+        if self.trans_delay > 0:
+            yield self.env.timeout(self.trans_delay)
         return IOResult(LEVEL_FLASH, self.env.now - start)
 
     def write(self, key: Hashable) -> Generator:
         start = self.env.now
         self.stats.add("write")
-        yield from self._controller_service()
-        yield from self._transmission()
-        yield from self._channel_service(key, self.write_delay)
+        yield self.controllers.serve_event(self._controller_time)
+        if self.trans_delay > 0:
+            yield self.env.timeout(self.trans_delay)
+        yield self._channel_for(key).serve_event(self._write_time)
         return IOResult(LEVEL_FLASH, self.env.now - start)
 
     def mean_channel_utilization(self) -> float:
@@ -206,19 +207,18 @@ class BatteryDRAMDevice(_SemiconductorDevice):
     def _access(self, kind: str) -> Generator:
         start = self.env.now
         self.stats.add(kind)
-        yield from self._controller_service()
+        yield self.controllers.serve_event(self._controller_time)
         if self.access_delay > 0:
             yield self.env.timeout(self.access_delay)
-        yield from self._transmission()
+        if self.trans_delay > 0:
+            yield self.env.timeout(self.trans_delay)
         return IOResult(LEVEL_BATTERY_DRAM, self.env.now - start)
 
     def read(self, key: Hashable) -> Generator:
-        result = yield from self._access("read")
-        return result
+        return self._access("read")
 
     def write(self, key: Hashable) -> Generator:
-        result = yield from self._access("write")
-        return result
+        return self._access("write")
 
 
 @register_device("flash_ssd")

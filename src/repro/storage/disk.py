@@ -26,7 +26,7 @@ no host CPU).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Hashable
+from typing import Callable, Dict, Generator, Hashable
 
 from repro.core.config import DiskUnitConfig, DiskUnitType, Distribution
 from repro.sim import Environment, RandomStreams, Resource
@@ -79,21 +79,17 @@ class DiskUnit(StorageDevice):
         #: Completion events of in-flight asynchronous destage writes;
         #: exposed so tests and drain logic can wait for quiescence.
         self._inflight: set = set()
-
-    # -- service-time draws --------------------------------------------------
-    def _controller_time(self) -> float:
-        if self.config.controller_distribution is Distribution.EXPONENTIAL:
-            return self._streams.exponential(
-                f"{self.name}-ctrl", self.config.controller_delay
-            )
-        return self.config.controller_delay
-
-    def _disk_time(self) -> float:
-        if self.config.disk_distribution is Distribution.EXPONENTIAL:
-            return self._streams.exponential(
-                f"{self.name}-disk", self.config.disk_delay
-            )
-        return self.config.disk_delay
+        # Service-time draws and stage parameters, bound once: no I/O
+        # builds a stream name or re-reads the configuration.
+        self._controller_time = _service_draw(
+            streams, f"{config.name}-ctrl", config.controller_delay,
+            config.controller_distribution)
+        self._disk_time = _service_draw(
+            streams, f"{config.name}-disk", config.disk_delay,
+            config.disk_distribution)
+        self._stripe_stream = f"{config.name}-stripe"
+        self._ssd = config.unit_type == DiskUnitType.SSD
+        self._trans_delay = config.trans_delay
 
     def _disk_for(self, key: Hashable) -> Resource:
         """Select the disk server for an I/O (see config.striping)."""
@@ -101,7 +97,7 @@ class DiskUnit(StorageDevice):
             return self.disks[0]
         if self.config.striping == "random":
             index = self._streams.uniform_int(
-                f"{self.name}-stripe", 0, len(self.disks) - 1
+                self._stripe_stream, 0, len(self.disks) - 1
             )
             return self.disks[index]
         if isinstance(key, tuple):
@@ -110,25 +106,11 @@ class DiskUnit(StorageDevice):
             page_no = key
         return self.disks[int(page_no) % len(self.disks)]
 
-    # -- primitive stages ------------------------------------------------------
-    def _controller_service(self) -> Generator:
-        yield self.controllers.serve_event(self._controller_time)
-
-    def _disk_service(self, key: Hashable) -> Generator:
-        # Note: striping may draw randomness, so the disk is selected
-        # before queueing (as before); the service time is drawn after
-        # the grant inside serve_event().
-        yield self._disk_for(key).serve_event(self._disk_time)
-
-    def _transmission(self) -> Generator:
-        if self.config.trans_delay > 0:
-            yield self.env.timeout(self.config.trans_delay)
-
     # -- background destage ------------------------------------------------------
     def _destage(self, key: Hashable, entry) -> Generator:
         """Asynchronous cache-to-disk update (controller destage)."""
         self.stats.add("destage_write")
-        yield from self._disk_service(key)
+        yield self._disk_for(key).serve_event(self._disk_time)
         self.cache.on_disk_write_complete(entry)
 
     def _spawn_destage(self, key: Hashable, entry) -> Event:
@@ -146,30 +128,41 @@ class DiskUnit(StorageDevice):
             yield next(iter(self._inflight))
 
     # -- public I/O API ------------------------------------------------------
+    # Each stage is one yielded event: the controller and disk services
+    # are fused resource cycles (``serve_event``; striping may draw
+    # randomness, so the disk is selected before queueing and its
+    # service time drawn after the grant), the transmission a timeout.
     def read(self, key: Hashable) -> Generator:
         """Read one page; returns an :class:`IOResult`."""
-        start = self.env.now
+        env = self.env
+        start = env.now
         self.stats.add("read")
-        if self.config.unit_type == DiskUnitType.SSD:
-            yield from self._controller_service()
-            yield from self._transmission()
-            return IOResult(LEVEL_SSD, self.env.now - start)
+        trans = self._trans_delay
+        if self._ssd:
+            yield self.controllers.serve_event(self._controller_time)
+            if trans > 0:
+                yield env.timeout(trans)
+            return IOResult(LEVEL_SSD, env.now - start)
 
-        if self.cache is None:
-            yield from self._controller_service()
-            yield from self._disk_service(key)
-            yield from self._transmission()
-            return IOResult(LEVEL_DISK, self.env.now - start)
+        cache = self.cache
+        if cache is None:
+            yield self.controllers.serve_event(self._controller_time)
+            yield self._disk_for(key).serve_event(self._disk_time)
+            if trans > 0:
+                yield env.timeout(trans)
+            return IOResult(LEVEL_DISK, env.now - start)
 
-        decision: CacheDecision = self.cache.on_read(key)
-        yield from self._controller_service()
+        decision: CacheDecision = cache.on_read(key)
+        yield self.controllers.serve_event(self._controller_time)
         if decision.hit:
-            yield from self._transmission()
-            return IOResult(LEVEL_CACHE, self.env.now - start)
-        yield from self._disk_service(key)
-        self.cache.on_read_fill(key)
-        yield from self._transmission()
-        return IOResult(LEVEL_DISK, self.env.now - start)
+            if trans > 0:
+                yield env.timeout(trans)
+            return IOResult(LEVEL_CACHE, env.now - start)
+        yield self._disk_for(key).serve_event(self._disk_time)
+        cache.on_read_fill(key)
+        if trans > 0:
+            yield env.timeout(trans)
+        return IOResult(LEVEL_DISK, env.now - start)
 
     def write(self, key: Hashable) -> Generator:
         """Write one page; returns an :class:`IOResult`.
@@ -178,30 +171,36 @@ class DiskUnit(StorageDevice):
         the write was absorbed (the disk copy is updated asynchronously
         by a destage process).
         """
-        start = self.env.now
+        env = self.env
+        start = env.now
         self.stats.add("write")
-        if self.config.unit_type == DiskUnitType.SSD:
-            yield from self._controller_service()
-            yield from self._transmission()
-            return IOResult(LEVEL_SSD, self.env.now - start)
+        trans = self._trans_delay
+        if self._ssd:
+            yield self.controllers.serve_event(self._controller_time)
+            if trans > 0:
+                yield env.timeout(trans)
+            return IOResult(LEVEL_SSD, env.now - start)
 
-        if self.cache is None:
-            yield from self._controller_service()
-            yield from self._transmission()
-            yield from self._disk_service(key)
-            return IOResult(LEVEL_DISK, self.env.now - start)
+        cache = self.cache
+        if cache is None:
+            yield self.controllers.serve_event(self._controller_time)
+            if trans > 0:
+                yield env.timeout(trans)
+            yield self._disk_for(key).serve_event(self._disk_time)
+            return IOResult(LEVEL_DISK, env.now - start)
 
-        decision = self.cache.on_write(key)
-        yield from self._controller_service()
-        yield from self._transmission()
+        decision = cache.on_write(key)
+        yield self.controllers.serve_event(self._controller_time)
+        if trans > 0:
+            yield env.timeout(trans)
         if decision.hit and not decision.needs_disk:
             if decision.async_disk_write:
                 self._spawn_destage(key, decision.entry)
-            return IOResult(LEVEL_CACHE, self.env.now - start)
+            return IOResult(LEVEL_CACHE, env.now - start)
         # Volatile cache, or a saturated non-volatile cache: synchronous
         # disk write.
-        yield from self._disk_service(key)
-        return IOResult(LEVEL_DISK, self.env.now - start)
+        yield self._disk_for(key).serve_event(self._disk_time)
+        return IOResult(LEVEL_DISK, env.now - start)
 
     # -- introspection ------------------------------------------------------
     def mean_disk_utilization(self) -> float:
@@ -226,6 +225,14 @@ class DiskUnit(StorageDevice):
             disk.monitor.reset()
         if self.cache is not None:
             self.cache.stats.reset()
+
+
+def _service_draw(streams: RandomStreams, stream: str, delay: float,
+                  distribution: Distribution) -> Callable[[], float]:
+    """Zero-argument service-time draw for one stage of a unit."""
+    if distribution is Distribution.EXPONENTIAL:
+        return streams.exponential_draw(stream, delay)
+    return lambda: delay
 
 
 def _make_disk_unit(env: Environment, streams: RandomStreams,

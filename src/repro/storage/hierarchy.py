@@ -133,6 +133,10 @@ class StorageSubsystem:
         return self._log_page
 
     # -- device access ------------------------------------------------------
+    # The page and log I/O methods hand back the unit's own ``read`` /
+    # ``write`` generator: one generator frame per I/O.  The guards run
+    # at the call; the unit's body (its start time, its statistics) at
+    # the first send.
     def read_page(self, partition_index: int, partition: str,
                   page_no: int) -> Generator:
         """Read a page from the partition's home device.
@@ -146,8 +150,7 @@ class StorageSubsystem:
             raise RuntimeError(
                 f"read_page called for resident partition {partition!r}"
             )
-        result = yield from unit.read((partition_index, page_no))
-        return result
+        return unit.read((partition_index, page_no))
 
     def write_page(self, partition_index: int, partition: str,
                    page_no: int) -> Generator:
@@ -156,10 +159,17 @@ class StorageSubsystem:
             raise RuntimeError(
                 f"write_page called for resident partition {partition!r}"
             )
-        if self.media_tracker is not None:
-            self.media_tracker.note_write(
-                self._alloc[partition], (partition_index, page_no))
-        result = yield from unit.write((partition_index, page_no))
+        key = (partition_index, page_no)
+        if self.media_tracker is None:
+            return unit.write(key)
+        return self._tracked_write(unit, self._alloc[partition], key)
+
+    def _tracked_write(self, unit: StorageDevice, device: str,
+                       key) -> Generator:
+        """A unit write noted in the media tracker at its first send —
+        for a SYNC partition, after the CPU grant."""
+        self.media_tracker.note_write(device, key)
+        result = yield from unit.write(key)
         return result
 
     def inner_unit(self, name: str) -> StorageDevice:
@@ -179,16 +189,14 @@ class StorageSubsystem:
         if unit is None:
             raise RuntimeError("log is NVEM-resident; no unit write")
         # Partition index -1 identifies the log file in page keys.
-        result = yield from unit.write((-1, page_no))
-        return result
+        return unit.write((-1, page_no))
 
     def read_log_from_unit(self, page_no: int) -> Generator:
         """Read one log page back (the restart replayer's log scan)."""
         unit = self.log_unit
         if unit is None:
             raise RuntimeError("log is NVEM-resident; no unit read")
-        result = yield from unit.read((-1, page_no))
-        return result
+        return unit.read((-1, page_no))
 
     # -- statistics ------------------------------------------------------
     def reset_stats(self) -> None:

@@ -90,8 +90,18 @@ class LRUCache:
         """Look up and move to MRU position."""
         entry = self._map.get(key)
         if entry is not None:
-            self._unlink(entry)
-            self._link_front(entry)
+            # Unlink + relink inline, skipped when already MRU.
+            head = self._head
+            first = head._next
+            if first is not entry:
+                prev = entry._prev
+                nxt = entry._next
+                prev._next = nxt
+                nxt._prev = prev
+                entry._prev = head
+                entry._next = first
+                first._prev = entry
+                head._next = entry
         return entry
 
     def touch(self, entry: LRUEntry) -> None:

@@ -28,14 +28,14 @@ class NVEMDevice:
         config.validate()
         self.env = env
         self.config = config
-        self._streams = streams
         self.servers = Resource(env, config.num_servers, name="nvem")
         self.stats = CategoryCounter()
-
-    def _service_time(self) -> float:
-        if self.config.distribution is Distribution.EXPONENTIAL:
-            return self._streams.exponential("nvem-service", self.config.delay)
-        return self.config.delay
+        #: Per-page service-time draw, bound once.
+        delay = config.delay
+        self._service_time = (
+            streams.exponential_draw("nvem-service", delay)
+            if config.distribution is Distribution.EXPONENTIAL
+            else lambda: delay)
 
     def access(self, kind: str = "access") -> Generator:
         """One page transfer; yields until the transfer completes.

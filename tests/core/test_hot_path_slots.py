@@ -60,6 +60,34 @@ def test_resource_requests_have_no_dict():
     assert_slotted(store.get())             # _StoreGet
 
 
+def test_claimed_service_events_have_no_dict():
+    """The fused CPU burst and resource service event built on the
+    uncontended claim path hold their unit without a Request."""
+    from repro.core.cpu import CPUPool, _CPUBurst
+    from repro.sim.resources import _ServiceEvent
+
+    env = Environment()
+    pool = CPUPool(env, RandomStreams(1), CMConfig(num_cpus=1))
+    burst = pool.execute_event(None, 1000.0)
+    assert isinstance(burst, _CPUBurst)
+    assert_slotted(burst)
+    assert burst._request is None
+    queued = pool.execute_event(None, 1000.0)   # the one CPU is busy
+    assert_slotted(queued)
+    assert isinstance(queued._request, Request)
+
+    res = Resource(env, capacity=1)
+    served = res.serve_event(lambda: 1.0)
+    assert isinstance(served, _ServiceEvent)
+    assert_slotted(served)
+    assert served._request is None
+    waiting = res.serve_event(lambda: 1.0)
+    assert_slotted(waiting)
+    assert isinstance(waiting._request, Request)
+    env.run()
+    assert pool.cpus.users == 0 and res.users == 0
+
+
 def test_transaction_records_have_no_dict():
     ref = ObjectRef(0, 1, 2, True, tag="ACCOUNT")
     assert_slotted(ref)

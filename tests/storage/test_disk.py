@@ -1,5 +1,7 @@
 """Unit tests for disk units (repro.storage.disk) and NVEM device."""
 
+import random
+
 import pytest
 
 from repro.core.config import (
@@ -9,6 +11,7 @@ from repro.core.config import (
     NVEMConfig,
 )
 from repro.sim import Environment, RandomStreams
+from repro.storage.device import IOResult, LEVEL_CACHE, LEVEL_DISK, LEVEL_SSD
 from repro.storage.disk import DiskUnit
 from repro.storage.nvem import NVEMDevice
 
@@ -234,6 +237,147 @@ class TestNonVolatileCacheUnit:
         finished = env.run(until=env.process(io(env)))
         assert unit.pending_destages() == 0
         assert finished >= 0.015  # destage includes a 15 ms disk access
+
+
+class _OracleDiskUnit(DiskUnit):
+    """The unit as it was before its stages were flattened into single
+    yielded events and its draws bound at construction: one
+    sub-generator per stage and a stream looked up by name on every
+    draw (bodies kept verbatim)."""
+
+    def __init__(self, env, streams, config):
+        super().__init__(env, streams, config)
+        # Let the per-draw methods below replace the bound draws.
+        del self._controller_time, self._disk_time
+
+    def _controller_time(self) -> float:
+        if self.config.controller_distribution is Distribution.EXPONENTIAL:
+            return self._streams.exponential(
+                f"{self.name}-ctrl", self.config.controller_delay
+            )
+        return self.config.controller_delay
+
+    def _disk_time(self) -> float:
+        if self.config.disk_distribution is Distribution.EXPONENTIAL:
+            return self._streams.exponential(
+                f"{self.name}-disk", self.config.disk_delay
+            )
+        return self.config.disk_delay
+
+    def _controller_service(self):
+        yield self.controllers.serve_event(self._controller_time)
+
+    def _disk_service(self, key):
+        yield self._disk_for(key).serve_event(self._disk_time)
+
+    def _transmission(self):
+        if self.config.trans_delay > 0:
+            yield self.env.timeout(self.config.trans_delay)
+
+    def _destage(self, key, entry):
+        self.stats.add("destage_write")
+        yield from self._disk_service(key)
+        self.cache.on_disk_write_complete(entry)
+
+    def read(self, key):
+        start = self.env.now
+        self.stats.add("read")
+        if self.config.unit_type == DiskUnitType.SSD:
+            yield from self._controller_service()
+            yield from self._transmission()
+            return IOResult(LEVEL_SSD, self.env.now - start)
+
+        if self.cache is None:
+            yield from self._controller_service()
+            yield from self._disk_service(key)
+            yield from self._transmission()
+            return IOResult(LEVEL_DISK, self.env.now - start)
+
+        decision = self.cache.on_read(key)
+        yield from self._controller_service()
+        if decision.hit:
+            yield from self._transmission()
+            return IOResult(LEVEL_CACHE, self.env.now - start)
+        yield from self._disk_service(key)
+        self.cache.on_read_fill(key)
+        yield from self._transmission()
+        return IOResult(LEVEL_DISK, self.env.now - start)
+
+    def write(self, key):
+        start = self.env.now
+        self.stats.add("write")
+        if self.config.unit_type == DiskUnitType.SSD:
+            yield from self._controller_service()
+            yield from self._transmission()
+            return IOResult(LEVEL_SSD, self.env.now - start)
+
+        if self.cache is None:
+            yield from self._controller_service()
+            yield from self._transmission()
+            yield from self._disk_service(key)
+            return IOResult(LEVEL_DISK, self.env.now - start)
+
+        decision = self.cache.on_write(key)
+        yield from self._controller_service()
+        yield from self._transmission()
+        if decision.hit and not decision.needs_disk:
+            if decision.async_disk_write:
+                self._spawn_destage(key, decision.entry)
+            return IOResult(LEVEL_CACHE, self.env.now - start)
+        yield from self._disk_service(key)
+        return IOResult(LEVEL_DISK, self.env.now - start)
+
+
+def _io_mix(unit_cls, unit_type, distribution, striping):
+    """Four clients issuing a fixed pseudo-random mix of reads and
+    writes against one unit; returns every ``(client, op, page, level,
+    latency, finish)`` plus the unit's final statistics."""
+    env = Environment()
+    config = DiskUnitConfig(
+        name="u0", unit_type=unit_type, num_controllers=2,
+        controller_delay=0.001, trans_delay=0.0004, num_disks=3,
+        disk_delay=0.015, controller_distribution=distribution,
+        disk_distribution=distribution, cache_size=4, striping=striping,
+    )
+    unit = unit_cls(env, RandomStreams(9), config)
+    script = random.Random(4)
+    done = []
+
+    def client(index):
+        for _ in range(25):
+            yield env.timeout(script.choice((0.0, 0.0005, 0.003, 0.02)))
+            op = script.choice(("read", "read", "write"))
+            page = (0, script.randrange(8))
+            io = unit.read(page) if op == "read" else unit.write(page)
+            result = yield from io
+            done.append((index, op, page, result.level, result.latency,
+                         env.now))
+
+    for index in range(4):
+        env.process(client(index))
+    env.run()
+    return done, dict(unit.stats.as_dict()), unit.utilization_report()
+
+
+@pytest.mark.parametrize("unit_type", list(DiskUnitType))
+@pytest.mark.parametrize("distribution", list(Distribution))
+def test_flattened_stages_match_the_stage_generators(unit_type,
+                                                     distribution):
+    """Levels, latencies and completion instants are unchanged for SSD
+    units, units without a cache and both kinds of cached unit, under
+    constant and exponential service times."""
+    striping = "random" if distribution is Distribution.EXPONENTIAL \
+        else "page"
+    new = _io_mix(DiskUnit, unit_type, distribution, striping)
+    oracle = _io_mix(_OracleDiskUnit, unit_type, distribution, striping)
+    assert new == oracle
+    levels = {level for _, _, _, level, _, _ in new[0]}
+    if unit_type is DiskUnitType.SSD:
+        assert levels == {"ssd"}
+    elif unit_type is DiskUnitType.REGULAR:
+        assert levels == {"disk"}
+    else:
+        assert levels == {"disk", "disk_cache"}
 
 
 class TestWriteBufferUnit:

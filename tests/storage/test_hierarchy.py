@@ -120,6 +120,77 @@ class TestPageIO:
             )
 
 
+class TestPassThroughs:
+    """The page and log methods hand back the unit's own generator; the
+    resident-partition guard fires at the call, and a media-tracked
+    write is noted when the unit write starts."""
+
+    def test_resident_partition_read_raises_at_call(self):
+        _, storage = build()
+        with pytest.raises(RuntimeError):
+            storage.read_page(2, "in_nvem", 5)
+        with pytest.raises(RuntimeError):
+            storage.write_page(3, "in_memory", 5)
+
+    def test_nvem_log_unit_io_raises_at_call(self):
+        _, storage = build(log_device=NVEM)
+        with pytest.raises(RuntimeError):
+            storage.write_log_to_unit(1)
+        with pytest.raises(RuntimeError):
+            storage.read_log_from_unit(1)
+
+    def test_unit_body_runs_at_first_send(self):
+        env, storage = build()
+        unit = storage.units["unit0"]
+        gen = storage.read_page(0, "on_disk", 5)
+        assert unit.stats.get("read") == 0
+        result = env.run(until=env.process(gen))
+        assert unit.stats.get("read") == 1
+        assert result.level == "disk"
+
+    @pytest.mark.parametrize("sync", [False, True])
+    def test_media_tracked_write_noted_when_the_write_starts(self, sync):
+        from repro.core.cpu import CPUPool
+
+        env, storage = build()
+        noted = []
+
+        class Recorder:
+            def note_write(self, device, key):
+                noted.append((env.now, device, key))
+
+        storage.media_tracker = Recorder()
+        cpu = CPUPool(env, RandomStreams(2), CMConfig(num_cpus=1,
+                                                      mips=1.0))
+        results = []
+
+        def holder():
+            # Holds the only CPU for one second (1M instructions).
+            burst = cpu.execute_event(None, 1_000_000.0, exponential=False)
+            yield burst
+
+        def writer():
+            gen = storage.write_page(0, "on_disk", 5)
+            assert noted == []  # nothing noted at the call
+            if sync:
+                # SYNC partition: CPU grant at t=1, 0.5 s of overhead,
+                # then the unit write starts with the CPU held.
+                result = yield from cpu.execute_with_sync_access(
+                    None, 500_000.0, gen)
+            else:
+                yield env.timeout(2.0)
+                result = yield from gen
+            results.append((env.now, result.level))
+
+        env.process(holder())
+        env.process(writer())
+        env.run()
+        start = 1.5 if sync else 2.0
+        assert noted == [(start, "unit0", (0, 5))]
+        assert results[0][1] == "disk"
+        assert results[0][0] > start
+
+
 class TestReporting:
     def test_utilization_report_structure(self):
         env, storage = build()

@@ -116,6 +116,29 @@ def test_run_with_mm_policy_and_new_scheme(capsys):
     assert "battery_dram" in out
 
 
+def test_bench_listing_includes_the_measured_window(capsys):
+    code = main(["bench", "--list"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "prewarm_trace" in out and "trace_measure" in out
+
+
+def test_bench_prepare_step_runs_before_every_timed_call():
+    from repro.bench import bench_trace_measure, timed_ms
+
+    calls = []
+
+    def work():
+        calls.append("run")
+        return 1
+
+    work.prepare = lambda: calls.append("prepare")
+    assert timed_ms(work) >= 0.0
+    timed_ms(work)
+    assert calls == ["prepare", "run", "prepare", "run"]
+    assert callable(bench_trace_measure.prepare)
+
+
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         main([])
