@@ -14,7 +14,7 @@ pure-Python calibration loop measured on the same interpreter.  The
 baseline, so a uniformly slower CI runner does not trip the gate while
 a genuine kernel regression does.  Per-benchmark tolerance overrides
 tighten the gate where a regression would matter most (``event_chain``
-guards the scheduler hot path).
+guards the kernel hot path).
 
 Usage::
 
@@ -37,7 +37,10 @@ from repro.bench import WORKLOADS, calibration, timed_ms
 #: PR 1 = pre-overhaul kernel; PR 3 = post kernel overhaul, before the
 #: PR 4 reference-pipeline fast path (uncontended grants, fused CPU
 #: bursts, buffer-hit/metrics/prewarm fast paths); PR 5 = before the
-#: PR 6 pluggable calendar-queue scheduler.  ``fig4_1_cached_rerun``
+#: PR 6 calendar-queue scheduler, which was later removed again (the
+#: binary heap is the only event structure; ``event_chain``,
+#: ``same_instant_batch`` and ``scheduler_insert_pop`` were re-measured
+#: then, see the README optimisation history).  ``fig4_1_cached_rerun``
 #: (PR 7, the content-addressed result store) has no earlier reference:
 #: it measures the warm-cache rerun path that did not exist before.
 REFERENCE = {
@@ -64,8 +67,8 @@ REFERENCE = {
 
 #: Per-benchmark regression tolerance on normalized scores, overriding
 #: the CLI-wide ``--tolerance``.  ``event_chain`` is the direct
-#: scheduler-hot-path guard: a regression there means the kernel
-#: itself slowed down, so the gate is deliberately tight.
+#: kernel-hot-path guard: a regression there means the kernel itself
+#: slowed down, so the gate is deliberately tight.
 TOLERANCE_OVERRIDES: Dict[str, float] = {
     "event_chain": 0.15,
     # Seconds-long and capped at 2 repeats, so min-of-N smooths less of

@@ -10,13 +10,13 @@ timing is the harness's job.
 Workloads:
 
 * ``event_chain`` — a single process yielding 20k timeouts: the pure
-  ``yield env.timeout`` hot path (solo slot + timeout pooling).
+  ``yield env.timeout`` hot path (heap push + pop + timeout pooling).
 * ``scheduler_insert_pop`` — 20k bare events at scattered times pushed
-  through ``Environment.schedule`` and drained: isolates the scheduler
-  structure (insert + pop), no generator machinery at all.
+  through ``Environment.schedule`` and drained: isolates the event heap
+  (insert + pop), no generator machinery at all.
 * ``same_instant_batch`` — 20k events in 200 same-instant cohorts of
-  100: the calendar queue's batched cohort dispatch versus one
-  heap-pop per event.
+  100: dense ties resolved by sequence number, one heap pop per
+  event.
 * ``resource_contention`` — 2k customers through a three-stage FIFO
   queueing network: request/grant/release plus timeout mix.
 * ``priority_cancel`` — a priority queue under heavy cancellation:
@@ -87,8 +87,8 @@ def bench_event_chain(n: int = 20_000) -> int:
 
 
 def bench_scheduler_insert_pop(n: int = 20_000) -> int:
-    """Bare scheduler traffic: n events at scattered times, no
-    processes — isolates structure insert + ordered drain."""
+    """Bare event-heap traffic: n events at scattered times, no
+    processes — isolates heap insert + ordered drain."""
     env = Environment()
     rng = random.Random(123)
     schedule = env.schedule
@@ -98,14 +98,14 @@ def bench_scheduler_insert_pop(n: int = 20_000) -> int:
         ev._ok = True
         schedule(ev, rng.random() * 100.0)
     env.run()
-    assert env._pending == 0
+    assert not env._heap
     return n
 
 
 def bench_same_instant_batch(instants: int = 200,
                              per_instant: int = 100) -> int:
-    """Batched same-instant dispatch: dense cohorts of simultaneous
-    events, the shape commit bursts and broadcast invalidations have."""
+    """Same-instant dispatch: dense cohorts of simultaneous events, the
+    shape commit bursts and broadcast invalidations have."""
     env = Environment()
     schedule = env.schedule
     event = env.event
@@ -189,7 +189,7 @@ def bench_page_reference(n: int = 20_000) -> int:
     64 warm-up misses fill the frames, then every reference is a main
     memory hit: per-object CPU burst + buffer fix + hit accounting —
     the exact loop the transaction managers run per object reference.
-    Uses the counters-only metrics mode like the other micro-benchmarks.
+    Metrics keep no percentile reservoir (``reservoir=0``).
     """
     from repro.core.bm import BufferManager
     from repro.core.cpu import CPUPool
@@ -201,24 +201,16 @@ def bench_page_reference(n: int = 20_000) -> int:
     config = debit_credit_config(disk_only())
     env = Environment()
     streams = RandomStreams(7)
-    metrics = (MetricsCollector.lite(env)
-               if hasattr(MetricsCollector, "lite")
-               else MetricsCollector(env, reservoir=0))
+    metrics = MetricsCollector(env, reservoir=0)
     storage = StorageSubsystem(env, streams, config)
     cpu = CPUPool(env, streams, config.cm)
     bm = BufferManager(env, streams, config, cpu, storage, metrics)
     instr_or = config.cm.instr_or
     refs = [ObjectRef(1, i, i % 64, False, tag="BRANCH") for i in range(n)]
     tx = Transaction(1, "bench", refs[:1])
-    # Runnable against pre-fast-path checkouts (reference measurements).
-    fix_fast = getattr(bm, "fix_page_fast", None)
+    fix_fast = bm.fix_page_fast
 
     def driver(env):
-        if fix_fast is None:  # pragma: no cover - old-checkout fallback
-            for ref in refs:
-                yield from cpu.execute(tx, instr_or)
-                yield from bm.fix_page(tx, ref)
-            return
         for ref in refs:
             burst = cpu.execute_event(tx, instr_or)
             if burst is not None:
@@ -497,10 +489,10 @@ WORKLOADS = {
     "event_chain": (bench_event_chain, "20k-timeout chain"),
     "scheduler_insert_pop": (
         bench_scheduler_insert_pop,
-        "20k bare events, scattered times (structure insert+pop)"),
+        "20k bare events, scattered times (heap insert+pop)"),
     "same_instant_batch": (
         bench_same_instant_batch,
-        "200 cohorts x 100 simultaneous events (batched dispatch)"),
+        "200 cohorts x 100 simultaneous events"),
     "resource_contention": (
         bench_resource_contention, "2k customers, 3-stage FIFO network"),
     "priority_cancel": (

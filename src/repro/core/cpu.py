@@ -165,11 +165,7 @@ class CPUPool:
             ev._queued_at = 0.0
             ev._state = _TRIGGERED
             ev.callbacks = [ev._finish]
-            if env._pending == 0 and env._solo is None and env._solo_on:
-                env._solo = ev
-                env._solo_at = env._now + service
-            else:
-                env._insert(env._now + service, ev)
+            env._insert(env._now + service, ev)
             return ev
         request = cpus.request()
         queued_at = env._now

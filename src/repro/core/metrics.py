@@ -375,18 +375,6 @@ class MetricsCollector:
         self.tracer = None
         self.telemetry = None
 
-    @classmethod
-    def lite(cls, env: Environment) -> "MetricsCollector":
-        """Counters-only collector for micro-benchmarks.
-
-        Drops the percentile reservoir (mean/min/max and every counter
-        still work; :meth:`Accumulator.percentile` falls back to the
-        mean), so the hot hooks never touch the sampling machinery.
-        Used by ``benchmarks/kernel_bench.py``; full experiment runs
-        keep the default reservoir.
-        """
-        return cls(env, reservoir=0)
-
     # -- event hooks ------------------------------------------------------
     def record_commit(self, tx: Transaction, response_time: float) -> None:
         if not self.active:

@@ -8,18 +8,15 @@ processes that yield events produced here.
 
 Design notes
 ------------
-* Events are ordered by ``(time, sequence)``; the sequence number makes
-  simultaneous events FIFO and the simulation fully deterministic for a
-  fixed seed.  The *structure* holding that order is pluggable
-  (:mod:`repro.sim.scheduler`): a calendar queue with batched
-  same-instant dispatch by default, the classic binary heap as the
-  verification backend (``Environment(scheduler="heap")`` or
-  ``REPRO_SCHEDULER=heap``).  Both produce bit-identical dispatch
-  order; a tracing mode records ``(time, seq)`` per dispatch so the
-  equivalence is testable.
+* Events are ordered by ``(time, sequence)`` in one binary heap of
+  ``(time, seq, event)`` tuples owned by :class:`Environment`; the
+  sequence number makes simultaneous events FIFO and the simulation
+  fully deterministic for a fixed seed.  ``Environment(trace=True)``
+  records ``(time, seq)`` per live dispatch, so that order is directly
+  testable.
 * All scheduling funnels through one choke point,
   :meth:`Environment._insert`, which assigns the strictly monotone
-  sequence number and feeds the active scheduler.
+  sequence number and pushes the entry onto the heap.
 * A :class:`Process` wraps a Python generator.  The generator yields
   :class:`Event` objects; the process resumes when the yielded event is
   processed.  ``yield from`` composes sub-operations naturally, which is
@@ -33,20 +30,8 @@ Design notes
 Hot path
 --------
 Replaying one paper figure means millions of ``yield env.timeout(...)``
-round trips, so that path is specialized end to end:
+round trips, so that path is kept short:
 
-* **Solo slot**: a timeout created while *nothing else is pending* is
-  parked in ``env._solo`` without touching the scheduler at all.  When
-  the owning process yields it (and nobody else subscribed),
-  :meth:`Process._resume` fires it inline — the clock jumps to its due
-  time and the generator continues without a structure insert, a pop,
-  or a callback list.  This is order-exact: with an empty structure the
-  solo event would have been the very next dispatch, and dropping its
-  structure round trip shifts later sequence numbers uniformly, which
-  cannot reorder any tie.  The slot is *flushed* into the scheduler
-  (assigning its sequence number at the position it would have held)
-  the moment anything else schedules, subscribes, cancels, or the run
-  loop needs it.
 * **Timeout pooling**: a dispatched :class:`Timeout` that the kernel
   can *prove* it solely owns (``sys.getrefcount == 2`` at the recycle
   point: the dispatch local plus the call argument) is recycled through
@@ -55,11 +40,12 @@ round trips, so that path is specialized end to end:
   per-event cost.  An object with any outside reference is marked
   processed normally, so user-held timeouts observe the documented
   lifecycle.
-* :meth:`Environment.run` delegates to scheduler-owned dispatch loops
-  with all lookups bound to locals; this is the hottest code in the
+* :meth:`Environment.run` is one dispatch loop with all lookups bound
+  to locals; it runs to a time horizon (``+inf`` when draining) or
+  until an awaited event fires.  This is the hottest code in the
   package.
 * Yielding an *already-processed* event feeds its value straight back
-  into the generator without suspending — no structure traffic, no
+  into the generator without suspending — no heap traffic, no
   callback list.  The resource layer relies on this for uncontended
   grants (:meth:`repro.sim.resources.Resource.request` returns a
   processed request when a unit is free), which is why ``_resume``
@@ -73,9 +59,9 @@ kernel tells the event via :meth:`Event._abandoned` (resources override
 it to withdraw queued requests) and, when nobody else is subscribed,
 marks the event *cancelled*.  Cancelled events are dropped when they
 surface in dispatch order without running callbacks, and when they
-outnumber live events the structure is compacted so interrupted waits
-do not accumulate (for the calendar queue the sweep also deletes
-buckets left empty).  An event collected by compaction is treated as
+outnumber live events (at least ``_COMPACT_MIN`` of them and half of
+all pending entries) the heap is compacted so interrupted waits do not
+accumulate.  An event collected by compaction is treated as
 already fired; a waiter that subscribes to a cancelled event before
 compaction revives it in place and is woken at the originally scheduled
 time.  Contract: once an event has been abandoned by *all* of its
@@ -96,17 +82,9 @@ the instant the old generator-based ``serve`` released it from its
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from sys import getrefcount
 from typing import Any, Generator, Iterable, Optional
-
-from repro.sim import scheduler as _schedmod
-from repro.sim.scheduler import (
-    _CANCELLED,
-    _INF,
-    _PENDING,
-    _PROCESSED,
-    _TRIGGERED,
-    make_scheduler,
-)
 
 __all__ = [
     "AllOf",
@@ -118,6 +96,17 @@ __all__ = [
     "SimulationError",
     "Timeout",
 ]
+
+# Event states.
+_PENDING = 0
+_TRIGGERED = 1  # scheduled, value fixed
+_CANCELLED = 2  # scheduled but abandoned: dropped unless re-subscribed
+_PROCESSED = 3  # callbacks have run
+
+#: Cancelled heap entries before a compaction sweep is considered.
+_COMPACT_MIN = 64
+
+_INF = float("inf")
 
 
 class SimulationError(Exception):
@@ -218,7 +207,7 @@ class Event:
         """
         if self._state == _TRIGGERED and self._ok and not self.callbacks:
             self._state = _CANCELLED
-            self.env._note_cancelled(self)
+            self.env._note_cancelled()
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -323,16 +312,13 @@ class Process(Event):
 
         The loop carries ``(ok, value)`` locals instead of the event
         object itself so pooled Timeouts are not kept alive by a stale
-        reference (the recycle gate proves sole ownership by refcount)
-        and the dominant solo/pool cycle touches as few attributes as
-        possible — this loop is the single hottest code in the package.
+        reference (the recycle gate proves sole ownership by refcount);
+        this loop is the single hottest code in the package.
         """
         env = self.env
         generator = self._generator
         send = generator.send
         resume = self._resume_cb
-        limit = env._limit
-        grc = _schedmod._getrefcount
         timeout_t = Timeout
         triggered = _TRIGGERED
         processed = _PROCESSED
@@ -359,40 +345,6 @@ class Process(Event):
                 self._value = exc
                 env.schedule(self)
                 return
-
-            # Solo short circuit: the yielded event is the parked solo
-            # event (nothing else pending anywhere), so it is provably
-            # the next dispatch — fire it inline and keep the generator
-            # running.  The clock jumps straight to its due time.
-            if next_event is env._solo and next_event is not None:
-                when = env._solo_at
-                if when <= limit:
-                    env._now = when
-                    env._solo = None
-                    cbs = next_event.callbacks
-                    value = next_event._value
-                    if not cbs:
-                        if (type(next_event) is timeout_t
-                                and grc(next_event) == 2):
-                            # Kernel-owned plain timeout: recycle it as
-                            # is (still _TRIGGERED, empty callbacks) —
-                            # unobservable without an outside reference.
-                            # Overwriting an occupied one-slot cache
-                            # merely abandons the older object.
-                            env._tcache = next_event
-                        else:
-                            next_event._state = processed
-                            next_event.callbacks = None
-                    else:
-                        # Pre-seeded internal callbacks (fused service
-                        # events): run them now, in dispatch order —
-                        # this resume loop *is* the final callback.
-                        next_event._state = processed
-                        next_event.callbacks = None
-                        for cb in cbs:
-                            cb(next_event)
-                    next_event = None
-                    continue
 
             # Fast path: a freshly scheduled timeout (the dominant wait).
             if type(next_event) is timeout_t:
@@ -506,47 +458,28 @@ class AnyOf(_Condition):
 
 
 class Environment:
-    """The event loop: owns simulated time and the pending-event order.
+    """The event loop: owns simulated time and the pending-event heap.
 
-    The ordering structure itself is pluggable: ``scheduler`` may be
-    ``"calendar"`` (default — calendar queue with batched same-instant
-    dispatch), ``"heap"`` (the verification backend), a scheduler class
-    or a ready instance.  When ``scheduler`` is None the
-    ``REPRO_SCHEDULER`` environment variable picks the backend.
-
-    ``trace=True`` enables dispatch-order recording (``env.trace`` grows
-    one ``(time, seq)`` pair per live dispatch) and disables the solo
-    short circuit so every event flows through the structure — the
-    scheduler-equivalence oracle compares these traces across backends.
+    ``trace=True`` enables dispatch-order recording: ``env.trace`` grows
+    one ``(time, seq)`` pair per live dispatch.
     """
 
-    __slots__ = ("_now", "_seq", "_active", "_sched", "_solo", "_solo_at",
-                 "_solo_on", "_tcache", "_pending", "_limit")
+    __slots__ = ("_now", "_seq", "_heap", "_ncancelled", "_trace",
+                 "_tcache")
 
-    def __init__(self, initial_time: float = 0.0,
-                 scheduler: "str | type | object | None" = None,
-                 trace: bool = False):
+    def __init__(self, initial_time: float = 0.0, trace: bool = False):
         self._now = float(initial_time)
         self._seq = 0
-        self._active = True
-        self._sched = make_scheduler(scheduler)
-        #: A triggered timeout parked outside the structure (see module
-        #: docstring).  Invariant: ``_solo is not None`` implies the
-        #: structure is empty (``_pending == 0``).
-        self._solo: Optional[Event] = None
-        self._solo_at = 0.0
-        self._solo_on = not trace
+        #: ``(time, seq, event)`` entries, cancelled ones included.
+        #: Compaction rewrites this list in place: the run loop and
+        #: the resource layer hold references to it.
+        self._heap: list = []
+        #: Cancelled entries still in the heap.
+        self._ncancelled = 0
+        self._trace: Optional[list] = [] if trace else None
         #: One-slot recycled-Timeout pool.  Invariant: a cached object
         #: is _TRIGGERED with an empty callbacks list, _ok, not defused.
         self._tcache: Optional[Timeout] = None
-        #: Number of entries in the scheduler structure (cancelled ones
-        #: included; the solo slot excluded).
-        self._pending = 0
-        #: Time ceiling of the active ``run(until=<float>)``, +inf
-        #: otherwise; bounds the solo inline fire.
-        self._limit = _INF
-        if trace:
-            self._sched.enable_trace()
 
     @property
     def now(self) -> float:
@@ -554,14 +487,9 @@ class Environment:
         return self._now
 
     @property
-    def scheduler(self):
-        """The active scheduler backend instance."""
-        return self._sched
-
-    @property
     def trace(self) -> Optional[list]:
         """Recorded ``(time, seq)`` dispatch order (None unless tracing)."""
-        return self._sched.trace
+        return self._trace
 
     # -- factories -------------------------------------------------------
     def event(self) -> Event:
@@ -585,17 +513,10 @@ class Environment:
             ev._value = value
             ev._defused = False
             ev.delay = delay
-        if self._pending == 0 and self._solo is None and self._solo_on:
-            self._solo = ev
-            self._solo_at = self._now + delay
-            return ev
         # _insert, inlined (this is the hottest scheduling call site).
-        if self._solo is not None:
-            self._flush()
         seq = self._seq + 1
         self._seq = seq
-        self._pending += 1
-        self._sched.insert(self._now + delay, seq, ev)
+        heappush(self._heap, (self._now + delay, seq, ev))
         return ev
 
     def process(self, generator: Generator) -> Process:
@@ -614,70 +535,64 @@ class Environment:
             raise SimulationError("event already scheduled")
         event._state = _TRIGGERED
         # _insert, inlined (hot: every process wake-up passes through).
-        if self._solo is not None:
-            self._flush()
         seq = self._seq + 1
         self._seq = seq
-        self._pending += 1
-        self._sched.insert(self._now + delay, seq, event)
+        heappush(self._heap, (self._now + delay, seq, event))
 
     def _insert(self, when: float, event: Event) -> None:
         """The scheduling choke point: assign the next sequence number
-        and hand the entry to the active scheduler.  Flushes the solo
-        slot first so its sequence number lands exactly where its
-        structure insert would have.
+        and push the entry onto the heap.
 
         ``timeout()`` and ``schedule()`` inline this exact body (they
         are the two hottest call sites); any change here must be
         mirrored there.  ``test_seq_strictly_monotone_across_both_paths``
         pins the shared contract."""
-        if self._solo is not None:
-            self._flush()
         seq = self._seq + 1
         self._seq = seq
-        self._pending += 1
-        self._sched.insert(when, seq, event)
+        heappush(self._heap, (when, seq, event))
 
-    def _flush(self) -> None:
-        """Move the parked solo event into the scheduler structure."""
-        solo = self._solo
-        if solo is not None:
-            self._solo = None
-            seq = self._seq + 1
-            self._seq = seq
-            self._pending += 1
-            self._sched.insert(self._solo_at, seq, solo)
+    def _note_cancelled(self) -> None:
+        """Account one newly cancelled heap entry; compact when dominant.
 
-    def _note_cancelled(self, event: Event) -> None:
-        """Account a newly cancelled scheduled event.
-
-        A cancelled solo event is flushed into the structure first so
-        revive and compaction see it exactly like any other entry.
+        Compaction removes cancelled entries outright so that mass
+        interruption (e.g. aborting a wave of blocked transactions)
+        does not leave the heap dragging thousands of dead waits.
+        Collected events are marked processed: anyone who later waits
+        on one gets its value immediately, as for any past event.
         """
-        if event is self._solo:
-            self._flush()
-        self._sched.note_cancelled(self)
+        n = self._ncancelled + 1
+        self._ncancelled = n
+        heap = self._heap
+        if n >= _COMPACT_MIN and 2 * n >= len(heap):
+            alive = []
+            for entry in heap:
+                ev = entry[2]
+                if ev._state == _CANCELLED:
+                    ev._state = _PROCESSED
+                    ev.callbacks = None
+                else:
+                    alive.append(entry)
+            heap[:] = alive
+            heapify(heap)
+            self._ncancelled = 0
 
     def _revive(self, event: Event) -> None:
-        """Re-subscribe path: a cancelled (still structure-resident)
-        event gained a new waiter, so it must be delivered after all."""
+        """Re-subscribe path: a cancelled (still heap-resident) event
+        gained a new waiter, so it must be delivered after all."""
         event._state = _TRIGGERED
-        self._sched._ncancelled -= 1
+        self._ncancelled -= 1
 
     def peek(self) -> float:
         """Time of the next event, or +inf if none is scheduled."""
-        if self._solo is not None:
-            return self._solo_at
-        return self._sched.peek()
+        heap = self._heap
+        return heap[0][0] if heap else _INF
 
     def step(self) -> None:
         """Process exactly one event (cancelled events count as no-ops)."""
-        if self._solo is not None:
-            self._flush()
-        event = self._sched.pop_one(self)
-        self._pending -= 1
+        when, _, event = heappop(self._heap)
+        self._now = when
         if event._state == _CANCELLED:
-            self._sched._ncancelled -= 1
+            self._ncancelled -= 1
             event._state = _PROCESSED
             event.callbacks = None
             return
@@ -695,51 +610,78 @@ class Environment:
         * ``until`` float: run all events up to and including that time,
           then set ``now`` to it.
         * ``until`` Event: run until that event is processed and return
-          its value (raising if it failed).
+          its value (raising if it failed, and raising
+          :class:`SimulationError` if the heap drains first).
         * ``until`` None: run until no events remain.
 
-        All three modes delegate to dispatch loops owned by the active
-        scheduler, with locals bound outside the loop; this is the
-        hottest code in the package.
+        All three modes share one dispatch loop, which stops at the
+        horizon (``+inf`` unless ``until`` is a time) or once the
+        awaited event has fired.
         """
-        sched = self._sched
-
-        if until is None:
-            self._limit = _INF
-            return sched.run_all(self)
-
+        horizon = _INF
+        finished: "list | tuple" = ()
+        sentinel = None
         if isinstance(until, Event):
             sentinel = until
             if sentinel._state == _PROCESSED:
                 if not sentinel._ok:
                     raise sentinel._value
                 return sentinel._value
-            finished: list = []
             if sentinel.callbacks is None:  # pragma: no cover - safety
                 raise SimulationError("cannot wait on this event")
             if sentinel._state == _CANCELLED:
                 self._revive(sentinel)
-            sentinel.callbacks.append(lambda ev: finished.append(ev))
-            self._limit = _INF
-            sched.run_event(self, finished)
+            finished = []
+            sentinel.callbacks.append(finished.append)
+        elif until is not None:
+            horizon = float(until)
+            if horizon < self._now:
+                raise ValueError(
+                    f"cannot run to {horizon!r}: time is already {self._now!r}"
+                )
+
+        heap = self._heap
+        pop = heappop
+        tr = self._trace
+        grc = getrefcount
+        timeout_cls = Timeout
+        while heap and heap[0][0] <= horizon:
+            when, seq, event = pop(heap)
+            self._now = when
+            if event._state == _CANCELLED:
+                self._ncancelled -= 1
+                event._state = _PROCESSED
+                event.callbacks = None
+                continue
+            if tr is not None:
+                tr.append((when, seq))
+            callbacks = event.callbacks
+            event.callbacks = None
+            event._state = _PROCESSED
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused:
+                raise event._value
+            if (type(event) is timeout_cls and self._tcache is None
+                    and grc(event) == 2):
+                # Only the kernel still references this timeout: recycle
+                # it through the one-slot object pool.
+                event._state = _TRIGGERED
+                callbacks.clear()
+                event.callbacks = callbacks
+                event._value = None
+                self._tcache = event
+            if finished:
+                break
+
+        if sentinel is not None:
+            if not finished:
+                raise SimulationError(
+                    "event loop ran dry before the awaited event fired"
+                )
             if not sentinel._ok:
                 raise sentinel._value
             return sentinel._value
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(
-                f"cannot run to {horizon!r}: time is already {self._now!r}"
-            )
-        self._limit = horizon
-        try:
-            sched.run_horizon(self, horizon)
-        finally:
-            self._limit = _INF
-        self._now = horizon
+        if until is not None:
+            self._now = horizon
         return None
-
-
-# Give the scheduler dispatch loops the concrete Timeout type for the
-# object-pool gate without a circular import.
-_schedmod._Timeout = Timeout

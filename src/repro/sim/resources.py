@@ -27,7 +27,9 @@ the same point in the global ``(time, seq)`` dispatch order (dropping
 the grant entry shifts every later sequence number uniformly, which
 cannot reorder any tie).  With another event pending at ``now`` the
 grant is scheduled on the heap as before, deferring the requester
-behind that event exactly as it always was.
+behind that event exactly as it always was.  The guard is one read of
+the environment's event heap, ``heap and heap[0][0] <= now``
+(cancelled entries count as pending).
 
 :meth:`Resource.claim` is the same grant without the request object:
 it takes a unit only in exactly the situation where :meth:`request`
@@ -137,9 +139,7 @@ class _ServiceEvent(Timeout):
     * uncontended grant — the unit is taken with :meth:`Resource.claim`
       (``_request`` stays None) and the event is created already
       *triggered* at ``now + draw()`` with a pre-seeded ``_finish``
-      callback that releases the unit when the kernel dispatches it
-      (parked in the environment's solo slot when nothing else is
-      pending at all);
+      callback that releases the unit when the kernel dispatches it;
     * deferred or queued grant — stays *pending* with ``_on_grant``
       subscribed to the request; the service time is drawn at grant
       dispatch, exactly where the generator version drew it;
@@ -220,7 +220,7 @@ class Resource:
     """
 
     __slots__ = ("env", "capacity", "name", "users", "_waiters", "_live",
-                 "monitor", "_pending_at")
+                 "monitor")
 
     #: Backlog size below which compaction is not worth the sweep.
     _COMPACT_MIN = 32
@@ -236,9 +236,6 @@ class Resource:
         self._waiters: deque = deque()
         self._live = 0
         self.monitor = ResourceMonitor(env, capacity)
-        #: The scheduler's same-instant probe, bound once (the
-        #: environment never swaps its scheduler).
-        self._pending_at = env._sched.pending_at
 
     # -- queue discipline hooks (overridden by PriorityResource) ---------
     def _enqueue(self, request: Request) -> None:
@@ -298,7 +295,7 @@ class Resource:
         if self.users < self.capacity:
             # Another event is pending at this very instant: take the
             # unit now but defer the grant behind that event via the
-            # scheduler, exactly as before.
+            # heap.
             self.users += 1
             monitor.busy.record(self.users)
             request = Request(self, priority)
@@ -324,10 +321,8 @@ class Resource:
             return False
         env = self.env
         now = env._now
-        if env._solo is not None:
-            if env._solo_at <= now:
-                return False
-        elif env._pending and self._pending_at(now):
+        heap = env._heap
+        if heap and heap[0][0] <= now:
             return False
         users += 1
         self.users = users
@@ -409,11 +404,7 @@ class Resource:
             ev._draw = None
             ev._state = _TRIGGERED
             ev.callbacks = [ev._finish]
-            if env._pending == 0 and env._solo is None and env._solo_on:
-                env._solo = ev
-                env._solo_at = env._now + delay
-            else:
-                env._insert(env._now + delay, ev)
+            env._insert(env._now + delay, ev)
             return ev
         # Deferred or queued grant: draw at grant dispatch.
         request = self.request()

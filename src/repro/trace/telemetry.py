@@ -10,7 +10,7 @@ export and the run journal, where ``repro watch`` can sparkline it).
 
 The sampler only *reads* state — it draws no random variates and
 mutates nothing — so enabling it does not change what the simulation
-computes; it does add one pending timeout to the event calendar, which
+computes; it does add one pending timeout to the event heap, which
 is why it stays off by default and outside the golden-checksum runs.
 
 It duck-types over both :class:`~repro.core.model.TransactionSystem`

@@ -160,9 +160,8 @@ from repro.sim.resources import Request, _ServiceEvent
 def _pending_now(env):
     """True if any entry (cancelled included) is due at this very
     instant — the resource layer's uncontended fast-grant guard."""
-    if env._solo is not None:
-        return env._solo_at <= env._now
-    return env._sched.pending_at(env._now)
+    heap = env._heap
+    return bool(heap) and heap[0][0] <= env._now
 
 
 class _OracleResource(Resource):
@@ -241,11 +240,7 @@ class _OracleResource(Resource):
             ev._draw = None
             ev._state = _TRIGGERED
             ev.callbacks = [ev._finish]
-            if env._pending == 0 and env._solo is None and env._solo_on:
-                env._solo = ev
-                env._solo_at = env._now + delay
-            else:
-                env._insert(env._now + delay, ev)
+            env._insert(env._now + delay, ev)
             return ev
         ev.delay = 0.0
         ev._draw = draw_delay
@@ -294,11 +289,7 @@ class _OracleCPUPool(CPUPool):
             ev._queued_at = 0.0
             ev._state = _TRIGGERED
             ev.callbacks = [ev._finish]
-            if env._pending == 0 and env._solo is None and env._solo_on:
-                env._solo = ev
-                env._solo_at = env._now + service
-            else:
-                env._insert(env._now + service, ev)
+            env._insert(env._now + service, ev)
             return ev
         queued_at = env._now
         if service <= 0:
@@ -465,7 +456,7 @@ def _run_claim_mix(jobs, cpus, dev_capacity, oracle, trace):
 def test_claim_path_matches_request_oracle(jobs, cpus, dev_capacity):
     """Claims and the Request-based grants they replace dispatch the
     same ``(time, seq)`` order, with identical resource statistics,
-    with and without the solo slot (trace mode disables it)."""
+    with and without dispatch tracing."""
     for trace in (True, False):
         new = _run_claim_mix(jobs, cpus, dev_capacity, False, trace)
         oracle = _run_claim_mix(jobs, cpus, dev_capacity, True, trace)

@@ -1,16 +1,13 @@
-"""Property test: span accounting holds across seeds, rates, schemes
-and scheduler backends.
+"""Property test: span accounting holds across seeds, rates and
+schemes.
 
 For any traced run, a committed transaction's phase spans must be
 mutually non-overlapping and sum (within float tolerance) to its
-measured arrival-to-commit response time — under both the calendar
-and heap event schedulers, whose dispatch internals differ.
+measured arrival-to-commit response time.
 """
 
 import dataclasses
-import os
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.model import TransactionSystem
@@ -34,23 +31,14 @@ def _traced_run(scheme: str, rate: float, seed: int):
     return system, results
 
 
-@pytest.mark.parametrize("backend", ["calendar", "heap"])
 @given(
     scheme=st.sampled_from(sorted(SCHEMES)),
     rate=st.sampled_from([60.0, 150.0, 300.0]),
     seed=st.integers(min_value=0, max_value=2**16 - 1),
 )
 @settings(max_examples=6, deadline=None)
-def test_phase_spans_tile_response_time(backend, scheme, rate, seed):
-    previous = os.environ.get("REPRO_SCHEDULER")
-    os.environ["REPRO_SCHEDULER"] = backend
-    try:
-        system, results = _traced_run(scheme, rate, seed)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SCHEDULER"] = previous
+def test_phase_spans_tile_response_time(scheme, rate, seed):
+    system, results = _traced_run(scheme, rate, seed)
     report = check_span_accounting(system.tracer.spans,
                                    system.tracer.measure_start,
                                    tolerance=1e-9)

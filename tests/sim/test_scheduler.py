@@ -1,12 +1,10 @@
-"""Scheduler-backend tests: heap vs calendar equivalence, sequence
-monotonicity, and cancellation/compaction under the bucketed structure.
+"""Event-heap tests: sequence monotonicity, cancellation/compaction,
+same-instant FIFO order, the one dispatch loop behind every ``run``
+mode, and timeout pooling.
 
-The central contract of the pluggable-scheduler refactor is that both
-backends produce *bit-identical* ``(time, seq)`` dispatch order for any
-workload.  ``Environment(trace=True)`` records exactly that order (and
-disables the solo-slot short circuit so every event flows through the
-structure), which makes the contract directly checkable: run the same
-deterministic workload under both backends and compare the traces.
+The dispatch contract is the ``(time, seq)`` order of the environment's
+binary heap.  ``Environment(trace=True)`` records exactly that order,
+which makes the contract directly checkable.
 """
 
 import random
@@ -14,59 +12,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Interrupt, SimulationError
 from repro.sim.core import Timeout
-from repro.sim.scheduler import (
-    CalendarScheduler,
-    HeapScheduler,
-    make_scheduler,
-)
-
-BACKENDS = ["heap", "calendar"]
 
 
 # ---------------------------------------------------------------------------
-# Backend selection plumbing
+# _seq strictly monotone across both scheduling paths
 # ---------------------------------------------------------------------------
 
-def test_make_scheduler_resolves_names_types_and_instances():
-    assert isinstance(make_scheduler("heap"), HeapScheduler)
-    assert isinstance(make_scheduler("calendar"), CalendarScheduler)
-    assert isinstance(make_scheduler(HeapScheduler), HeapScheduler)
-    inst = CalendarScheduler()
-    assert make_scheduler(inst) is inst
-
-
-def test_make_scheduler_env_var_default(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-    assert isinstance(make_scheduler(None), HeapScheduler)
-    monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-    assert isinstance(make_scheduler(None), CalendarScheduler)
-    monkeypatch.delenv("REPRO_SCHEDULER")
-    assert isinstance(make_scheduler(None), CalendarScheduler)
-
-
-def test_make_scheduler_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        make_scheduler("splay-tree")
-
-
-def test_environment_exposes_backend():
-    assert Environment(scheduler="heap").scheduler.name == "heap"
-    assert Environment(scheduler="calendar").scheduler.name == "calendar"
-
-
-# ---------------------------------------------------------------------------
-# Satellite: _seq strictly monotone across both scheduling paths
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_seq_strictly_monotone_across_both_paths(backend):
+def test_seq_strictly_monotone_across_both_paths():
     """``Environment.schedule`` (explicit events) and the inlined
     ``timeout`` insert share one ``_insert`` choke point; the sequence
     counter must advance strictly monotonically over any interleaving
     of the two paths."""
-    env = Environment(scheduler=backend, trace=True)
+    env = Environment(trace=True)
     rng = random.Random(42)
     seq_after = []
     for _ in range(300):
@@ -84,41 +43,14 @@ def test_seq_strictly_monotone_across_both_paths(backend):
     assert tr == sorted(tr)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_seq_monotone_across_solo_flush(backend):
-    """The solo slot defers the sequence assignment of a lone timeout;
-    flushing it must still produce strictly ordered sequence numbers
-    relative to the insert that triggered the flush."""
-    env = Environment(scheduler=backend)
-    fired = []
-
-    def lone(env):
-        # This timeout is parked in the solo slot (nothing else pending).
-        t = env.timeout(5.0)
-        assert env._solo is t
-        # A second schedule flushes it; both must dispatch in time order.
-        u = env.timeout(1.0)
-        assert env._solo is None
-        got = yield u
-        fired.append(("u", env.now))
-        yield t
-        fired.append(("t", env.now))
-
-    env.process(lone(env))
-    env.run()
-    assert fired == [("u", 1.0), ("t", 5.0)]
-    assert env._seq >= 2
-
-
 # ---------------------------------------------------------------------------
-# Satellite: cancellation / compaction under the bucketed structure
+# Cancellation / compaction
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_ninety_percent_cancelled_dispatches_survivors_in_order(backend):
-    """A structure that is 90% cancelled must still dispatch the
-    surviving 10% in exact (time, seq) order."""
-    env = Environment(scheduler=backend, trace=True)
+def test_ninety_percent_cancelled_dispatches_survivors_in_order():
+    """A heap that is 90% cancelled must still dispatch the surviving
+    10% in exact (time, seq) order."""
+    env = Environment(trace=True)
     rng = random.Random(7)
 
     def waiter(env, delay):
@@ -150,43 +82,10 @@ def test_ninety_percent_cancelled_dispatches_survivors_in_order(backend):
     assert tr == sorted(tr)
 
 
-def test_cancelled_entries_do_not_pin_empty_buckets():
-    """Calendar-queue specific: compaction must delete buckets emptied
-    by cancellation, not leave them to be scanned at dispatch time."""
-    env = Environment(scheduler="calendar")
-
-    def victim(env, delay):
-        try:
-            yield env.timeout(delay)
-        except Interrupt:
-            pass
-
-    # 500 distinct far-future buckets, all cancelled.
-    victims = [env.process(victim(env, 1000.0 + i)) for i in range(500)]
-
-    def attacker(env):
-        yield env.timeout(1.0)
-        for v in victims:
-            v.interrupt()
-
-    env.process(attacker(env))
-    env.run(until=2.0)
-    sched = env.scheduler
-    # Compaction swept the cancelled entries and their buckets.
-    assert len(sched) < 250
-    assert len(sched._buckets) < 250
-    assert len(sched._times) == len(sched._buckets)
-    # And the survivors still drain cleanly.
-    env.run()
-    assert all(not v.is_alive for v in victims)
-    assert len(sched._buckets) == 0
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_compaction_preserves_revived_events(backend):
+def test_compaction_preserves_revived_events():
     """An event cancelled and then re-awaited (revived) must still fire
     at its original time even though compaction ran in between."""
-    env = Environment(scheduler=backend)
+    env = Environment()
     shared = env.timeout(50.0, value="late")
 
     def victim(env):
@@ -211,14 +110,13 @@ def test_compaction_preserves_revived_events(backend):
 
 
 # ---------------------------------------------------------------------------
-# Same-instant cohort semantics (calendar batched dispatch)
+# Same-instant cohort semantics
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_same_instant_cohort_fifo(backend):
+def test_same_instant_cohort_fifo():
     """All events at one timestamp dispatch in creation (seq) order,
     including events appended to the instant *while it is draining*."""
-    env = Environment(scheduler=backend)
+    env = Environment()
     order = []
 
     def job(env, tag):
@@ -238,11 +136,10 @@ def test_same_instant_cohort_fifo(backend):
     assert order == [0, 1, 2, 3, 4, ("tail", 0), ("tail", 1), ("tail", 2)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_until_event_mid_cohort_then_resume(backend):
+def test_run_until_event_mid_cohort_then_resume():
     """run(until=event) may stop in the middle of a same-instant cohort;
     a subsequent run must finish the rest of the cohort in order."""
-    env = Environment(scheduler=backend)
+    env = Environment()
     order = []
 
     def make(tag):
@@ -266,7 +163,7 @@ def test_run_until_event_mid_cohort_then_resume(backend):
 
 
 # ---------------------------------------------------------------------------
-# The scheduler-equivalence oracle (hypothesis property test)
+# One dispatch loop behind every run mode (hypothesis property test)
 # ---------------------------------------------------------------------------
 
 _ACTIONS = st.lists(
@@ -280,13 +177,21 @@ _ACTIONS = st.lists(
     max_size=40,
 )
 
+#: Due after every action of a workload: 40 driver steps of at most
+#: 2.0 each, plus a chained wait of at most 16.
+_LAST_AT = 1000.0
 
-def _drive(backend, actions):
-    """Run one deterministic workload built from ``actions`` and return
-    the full (time, seq) dispatch trace plus an observable event log."""
-    env = Environment(scheduler=backend, trace=True)
+
+def _drive(actions, mode):
+    """Run one deterministic workload built from ``actions`` with the
+    run mode ``mode`` and return the full (time, seq) dispatch trace,
+    an observable event log and the final clock."""
+    env = Environment(trace=True)
     log = []
     procs = {}
+    # Scheduled first in every mode, so the traces stay comparable; it
+    # is the last event to fire.
+    last = env.timeout(_LAST_AT, value="last")
 
     def sleeper(env, key, delay):
         try:
@@ -329,66 +234,41 @@ def _drive(backend, actions):
             yield env.timeout(delay * 0.25)
 
     env.process(driver(env))
-    env.run()
-    return list(env.trace), log
+    if mode == "drain":
+        assert env.run() is None
+    elif mode == "horizon":
+        assert env.run(until=2 * _LAST_AT) is None
+    elif mode == "last-event":
+        assert env.run(until=last) == "last"
+        assert env.peek() == float("inf")
+    else:
+        with pytest.raises(SimulationError, match="ran dry"):
+            env.run(until=env.event())
+    return list(env.trace), log, env.now
 
 
 @settings(max_examples=60, deadline=None)
 @given(actions=_ACTIONS)
-def test_scheduler_equivalence_oracle(actions):
-    """Random schedule/cancel/interrupt workloads dispatch in an
-    identical (time, seq) order on both backends."""
-    heap_trace, heap_log = _drive("heap", actions)
-    cal_trace, cal_log = _drive("calendar", actions)
-    assert heap_trace == cal_trace
-    assert heap_log == cal_log
-
-
-@settings(max_examples=30, deadline=None)
-@given(actions=_ACTIONS)
-def test_solo_short_circuit_is_observably_equivalent(actions):
-    """The solo-slot inline fire (enabled in production, disabled under
-    trace=True) must not change any observable outcome."""
-
-    def observable(trace_mode):
-        env = Environment(scheduler="calendar", trace=trace_mode)
-        log = []
-
-        def sleeper(env, key, delay):
-            try:
-                yield env.timeout(delay)
-                log.append(("woke", key, env.now))
-            except Interrupt:
-                log.append(("interrupted", key, env.now))
-
-        procs = {}
-
-        def driver(env):
-            for kind, slot, delay in actions:
-                if kind == "interrupt":
-                    p = procs.get(slot)
-                    if p is not None and p.is_alive:
-                        p.interrupt()
-                else:
-                    procs[slot] = env.process(sleeper(env, slot, delay))
-                yield env.timeout(delay * 0.25)
-
-        env.process(driver(env))
-        env.run()
-        return log, env.now
-
-    assert observable(True) == observable(False)
+def test_run_modes_share_one_dispatch_order(actions):
+    """``run()``, ``run(until=T)`` past the last event and
+    ``run(until=<last event>)`` record identical (time, seq) traces; an
+    awaited event that never fires still drains the heap and raises."""
+    trace, log, now = _drive(actions, "drain")
+    assert trace == sorted(trace)
+    assert trace[-1][0] == now == _LAST_AT
+    assert _drive(actions, "horizon") == (trace, log, 2 * _LAST_AT)
+    assert _drive(actions, "last-event") == (trace, log, _LAST_AT)
+    assert _drive(actions, "never-fired") == (trace, log, _LAST_AT)
 
 
 # ---------------------------------------------------------------------------
 # Timeout pooling safety
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pooling_never_recycles_a_referenced_timeout(backend):
+def test_pooling_never_recycles_a_referenced_timeout():
     """A timeout the user still holds must keep its documented final
     state (processed, value intact) instead of being recycled."""
-    env = Environment(scheduler=backend)
+    env = Environment()
     held = []
 
     def proc(env):
@@ -405,11 +285,10 @@ def test_pooling_never_recycles_a_referenced_timeout(backend):
     assert len(set(map(id, held))) == 50  # no aliasing of held objects
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pooled_timeouts_are_fresh_per_wait(backend):
+def test_pooled_timeouts_are_fresh_per_wait():
     """Anonymous timeouts may be recycled internally, but each wait
     observes its own delay and value."""
-    env = Environment(scheduler=backend)
+    env = Environment()
     seen = []
 
     def proc(env):
