@@ -8,6 +8,7 @@ measured arrival-to-commit response time.
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.model import TransactionSystem
@@ -31,6 +32,8 @@ def _traced_run(scheme: str, rate: float, seed: int):
     return system, results
 
 
+# The ``[heap]`` id names the event structure the traced runs dispatch on.
+@pytest.mark.parametrize((), [pytest.param(id="heap")])
 @given(
     scheme=st.sampled_from(sorted(SCHEMES)),
     rate=st.sampled_from([60.0, 150.0, 300.0]),

@@ -15,11 +15,16 @@ from hypothesis import given, settings, strategies as st
 from repro.sim import Environment, Interrupt, SimulationError
 from repro.sim.core import Timeout
 
+# The binary heap is the only event structure.  Tests of its dispatch
+# contract carry a ``[heap]`` id naming the structure they exercise.
+ON_HEAP = pytest.mark.parametrize((), [pytest.param(id="heap")])
+
 
 # ---------------------------------------------------------------------------
 # _seq strictly monotone across both scheduling paths
 # ---------------------------------------------------------------------------
 
+@ON_HEAP
 def test_seq_strictly_monotone_across_both_paths():
     """``Environment.schedule`` (explicit events) and the inlined
     ``timeout`` insert share one ``_insert`` choke point; the sequence
@@ -47,6 +52,7 @@ def test_seq_strictly_monotone_across_both_paths():
 # Cancellation / compaction
 # ---------------------------------------------------------------------------
 
+@ON_HEAP
 def test_ninety_percent_cancelled_dispatches_survivors_in_order():
     """A heap that is 90% cancelled must still dispatch the surviving
     10% in exact (time, seq) order."""
@@ -82,6 +88,7 @@ def test_ninety_percent_cancelled_dispatches_survivors_in_order():
     assert tr == sorted(tr)
 
 
+@ON_HEAP
 def test_compaction_preserves_revived_events():
     """An event cancelled and then re-awaited (revived) must still fire
     at its original time even though compaction ran in between."""
@@ -113,6 +120,7 @@ def test_compaction_preserves_revived_events():
 # Same-instant cohort semantics
 # ---------------------------------------------------------------------------
 
+@ON_HEAP
 def test_same_instant_cohort_fifo():
     """All events at one timestamp dispatch in creation (seq) order,
     including events appended to the instant *while it is draining*."""
@@ -136,6 +144,7 @@ def test_same_instant_cohort_fifo():
     assert order == [0, 1, 2, 3, 4, ("tail", 0), ("tail", 1), ("tail", 2)]
 
 
+@ON_HEAP
 def test_run_until_event_mid_cohort_then_resume():
     """run(until=event) may stop in the middle of a same-instant cohort;
     a subsequent run must finish the rest of the cohort in order."""
@@ -265,6 +274,7 @@ def test_run_modes_share_one_dispatch_order(actions):
 # Timeout pooling safety
 # ---------------------------------------------------------------------------
 
+@ON_HEAP
 def test_pooling_never_recycles_a_referenced_timeout():
     """A timeout the user still holds must keep its documented final
     state (processed, value intact) instead of being recycled."""
@@ -285,6 +295,7 @@ def test_pooling_never_recycles_a_referenced_timeout():
     assert len(set(map(id, held))) == 50  # no aliasing of held objects
 
 
+@ON_HEAP
 def test_pooled_timeouts_are_fresh_per_wait():
     """Anonymous timeouts may be recycled internally, but each wait
     observes its own delay and value."""
