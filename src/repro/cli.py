@@ -861,35 +861,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _upgrade_legacy_experiment_argv(argv: List[str]) -> List[str]:
-    """Rewrite the pre-registry syntax ``experiment <id> [--fast]``
-    (flags and id in any order) to ``experiment run <id> [--profile
-    fast]`` with a deprecation note."""
-    if len(argv) < 2 or argv[0] != "experiment":
-        return argv
-    # The old parser accepted intermixed order (e.g. ``--fast fig4_1``):
-    # the first non-flag token is the experiment id.
-    positionals = [a for a in argv[1:] if not a.startswith("-")]
-    if not positionals or positionals[0] in ("list", "run"):
-        return argv
-    head = positionals[0]
-    rest = []
-    for arg in argv[1:]:
-        if arg == head:
-            continue
-        if arg == "--fast":
-            rest.extend(["--profile", "fast"])
-        else:
-            rest.append(arg)
-    upgraded = ["experiment", "run", head, *rest]
-    print("note: 'repro experiment <id> [--fast]' is deprecated; use "
-          f"'repro {' '.join(upgraded)}'", file=sys.stderr)
-    return upgraded
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _upgrade_legacy_experiment_argv(argv)
     args = _build_parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,

@@ -263,6 +263,12 @@ class BufferManager:
                 # page being fetched — preserving the aggregate-LRU
                 # property of MM + NVEM under NOFORCE (§4.5).
                 source, carried_dirty = self._claim_source(part, key)
+            elif source == "unit":
+                # Nothing was claimed before the wait: a concurrent
+                # transaction may have fetched and evicted the page into
+                # the NVEM cache meanwhile.  Take it from there, or it
+                # would sit in main memory and NVEM at once.
+                source, carried_dirty = self._claim_nvem_cache(part, key)
             if len(self.mm) < self.mm.capacity:
                 break
             # Evicting may take I/O time; afterwards the page may have
@@ -306,6 +312,10 @@ class BufferManager:
         """
         if self.storage.is_nvem_resident(part.name):
             return LEVEL_NVEM_RESIDENT, False
+        return self._claim_nvem_cache(part, key)
+
+    def _claim_nvem_cache(self, part: PartitionConfig, key):
+        """The local NVEM-cache half of :meth:`_claim_source`."""
         if self.nvem_cache is not None and \
                 part.nvem_caching is not NVEMCachingMode.NONE:
             cached = self.nvem_cache.get(key)

@@ -5,10 +5,13 @@ Modules:
 * :mod:`repro.experiments.api` — the experiment API: declarative
   :class:`~repro.experiments.api.ExperimentSpec`\\ s, the
   ``@experiment`` registry and the figure-wide
-  :class:`~repro.experiments.api.ExperimentRunner`.
+  :class:`~repro.experiments.api.ExperimentRunner`, the one path that
+  evaluates sweep points (serial, parallel or served from the point
+  cache).
 * :mod:`repro.experiments.defaults` — Table 4.1 parameter settings and
   storage-scheme builders.
-* :mod:`repro.experiments.runner` — sweep machinery and ASCII tables.
+* :mod:`repro.experiments.runner` — result containers, per-point
+  seeds, the point evaluation body and ASCII tables.
 * ``fig4_1`` … ``fig4_8``, ``table4_2`` — one module per paper
   artifact, each registering a spec (``@experiment("fig4_1")`` …).
 * :mod:`repro.experiments.ablations` — group commit, asynchronous
@@ -40,7 +43,6 @@ from repro.experiments.runner import (
     ExperimentResult,
     Series,
     SeriesPoint,
-    sweep,
 )
 
 __all__ = [
@@ -55,5 +57,4 @@ __all__ = [
     "experiment",
     "experiment_ids",
     "get_experiment",
-    "sweep",
 ]

@@ -21,8 +21,7 @@ Four ablations, each toggling one mechanism the paper names:
 
 Each ablation is a registered experiment (``ablation_group_commit``,
 ``ablation_async_replacement``, ``ablation_deferred_propagation``,
-``ablation_migration_modes``); the historical ``run_*`` helpers remain
-as deprecated wrappers.
+``ablation_migration_modes``).
 """
 
 from __future__ import annotations
@@ -32,12 +31,9 @@ from typing import Dict, List, Tuple
 from repro.core.config import NVEMCachingMode, UpdateStrategy
 from repro.experiments.api import (
     CurveSpec,
-    ExperimentRunner,
     ExperimentSpec,
     SweepProfile,
     experiment,
-    get_experiment,
-    legacy_run,
 )
 from repro.experiments.defaults import (
     debit_credit_config,
@@ -54,13 +50,7 @@ from repro.experiments.trace_setup import (
 )
 from repro.workload.debit_credit import DebitCreditWorkload
 
-__all__ = [
-    "migration_summary",
-    "run_async_replacement",
-    "run_deferred_propagation",
-    "run_group_commit",
-    "run_migration_modes",
-]
+__all__ = ["migration_summary"]
 
 
 # ---------------------------------------------------------------------------
@@ -246,45 +236,3 @@ def mm_spec() -> ExperimentSpec:
         renderer=_mm_render,
         truncate_on_saturation=False,
     )
-
-
-# ---------------------------------------------------------------------------
-# Deprecated wrappers
-
-
-def run_group_commit(fast: bool = False) -> ExperimentResult:
-    """Deprecated: use the ``ablation_group_commit`` experiment."""
-    return legacy_run("ablation_group_commit", fast)
-
-
-def run_async_replacement(fast: bool = False) -> ExperimentResult:
-    """Deprecated: use the ``ablation_async_replacement`` experiment."""
-    return legacy_run("ablation_async_replacement", fast)
-
-
-def run_deferred_propagation(fast: bool = False) -> ExperimentResult:
-    """Deprecated: use the ``ablation_deferred_propagation`` experiment."""
-    return legacy_run("ablation_deferred_propagation", fast)
-
-
-def run_migration_modes(fast: bool = False
-                        ) -> Dict[str, Tuple[float, float]]:
-    """Deprecated: use the ``ablation_migration_modes`` experiment.
-
-    Returns {mode: (nvem hit ratio %, normalized response ms)}.
-    """
-    return migration_summary(legacy_run("ablation_migration_modes", fast))
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    runner = ExperimentRunner()
-    for exp_id in ("ablation_group_commit", "ablation_async_replacement",
-                   "ablation_deferred_propagation",
-                   "ablation_migration_modes"):
-        spec = get_experiment(exp_id)
-        print(spec.render(runner.run_one(spec)))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -12,21 +12,22 @@ module makes that family first-class:
   stable id (``@experiment("fig4_1")``).  The CLI, ``report_all``,
   exports and the benchmarks all resolve experiments through this
   registry; nothing imports figure modules by name.
-* :class:`ExperimentRunner` — evaluates one or many experiments.  In
-  parallel mode it schedules *all points of all curves of all selected
-  experiments* through a single work queue, so ``--all --parallel``
-  saturates every core across figure boundaries instead of
-  parallelizing one series at a time.  Given a
-  :class:`~repro.experiments.store.ResultStore` it becomes incremental:
-  points are fingerprinted, served from the content-addressed cache
-  when their inputs are unchanged, streamed into a per-run checkpoint
-  journal (:mod:`~repro.experiments.journal`) as they complete, and
-  resumable after interruption (``resume=True``).
+* :class:`ExperimentRunner` — evaluates one or many experiments, and
+  is the only way a sweep point is evaluated.  In parallel mode it
+  schedules *all points of all curves of all selected experiments*
+  through a single work queue, so ``--all --parallel`` saturates every
+  core across figure boundaries instead of parallelizing one series at
+  a time.  Given a :class:`~repro.experiments.store.ResultStore` it
+  becomes incremental: points are fingerprinted, served from the
+  content-addressed cache when their inputs are unchanged, streamed
+  into a per-run checkpoint journal (:mod:`~repro.experiments.journal`)
+  as they complete, and resumable after interruption (``resume=True``).
 
-Determinism: every point gets the same :func:`~repro.experiments.runner.point_seed`
-as the historical serial :func:`~repro.experiments.runner.sweep` path,
-and saturation truncation is applied post-hoc per curve, so serial and
-parallel runs produce byte-identical :class:`ExperimentResult`\\ s.
+Determinism: every point gets its :func:`~repro.experiments.runner.point_seed`
+from the base seed and its index, whichever way it is evaluated, and
+saturation truncation is applied post-hoc per curve, so serial,
+parallel and cache-served runs produce byte-identical
+:class:`ExperimentResult`\\ s.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from repro.experiments.runner import (
     SeriesPoint,
     _append_point,
     _evaluate_point,
-    evaluate_points_parallel,
     point_seed,
 )
 
@@ -73,7 +73,6 @@ __all__ = [
     "experiment",
     "experiment_ids",
     "get_experiment",
-    "legacy_run",
     "load_builtin_specs",
     "register",
     "unregister",
@@ -259,25 +258,6 @@ def experiment_ids() -> List[str]:
     return list(_FACTORIES)
 
 
-def legacy_run(exp_id: str, fast: bool = False,
-               duration: Optional[float] = None,
-               parallel: bool = False) -> ExperimentResult:
-    """Engine behind the deprecated module-level ``run()`` wrappers.
-
-    Emits the DeprecationWarning at the wrapper's call site
-    (``stacklevel=3``) and forwards to the registry + runner.
-    """
-    warnings.warn(
-        f"module-level run() is deprecated; use repro.experiments.api"
-        f".get_experiment({exp_id!r}) with ExperimentRunner",
-        DeprecationWarning, stacklevel=3,
-    )
-    return ExperimentRunner(parallel=parallel).run_one(
-        get_experiment(exp_id), "fast" if fast else "full",
-        duration=duration,
-    )
-
-
 def all_experiments() -> List[ExperimentSpec]:
     return [get_experiment(exp_id) for exp_id in experiment_ids()]
 
@@ -292,8 +272,8 @@ class _Plan:
 
     spec: ExperimentSpec
     result: ExperimentResult
-    #: curve index -> list of evaluation tasks, in x order.
-    tasks: List[List[Tuple]] = field(default_factory=list)
+    #: curve index -> the curve's points, in x order.
+    points: List[List["_PointTask"]] = field(default_factory=list)
 
 
 @dataclass
@@ -352,13 +332,13 @@ class _PointTask:
 class ExperimentRunner:
     """Evaluate registered experiments serially or figure-wide parallel.
 
-    Parallel mode flattens the points of every selected curve of every
-    selected experiment into one task list evaluated by a single
-    process pool — long figures and short figures share the same queue,
-    so cores never idle while one slow series finishes.  Saturation
-    truncation happens post-hoc per curve, making the output
-    byte-identical to the serial path (which stops evaluating a curve
-    at its first saturated point).
+    :meth:`run` is the only way a sweep point is evaluated.  Parallel
+    mode flattens the points of every selected curve of every selected
+    experiment into one task list evaluated by a single process pool —
+    long figures and short figures share the same queue, so cores never
+    idle while one slow series finishes.  Saturation truncation happens
+    post-hoc per curve, making the output byte-identical to a serial
+    run (which stops evaluating a curve at its first saturated point).
 
     With a ``store`` (and/or a ``journal``) the runner becomes
     *incremental and resumable*: every point is fingerprinted
@@ -397,10 +377,10 @@ class ExperimentRunner:
         returns the config actually built for each point,
         ``observe(task, system, results)`` sees the live system after
         its point evaluated.  Hooks keep the plan, seeds and truncation
-        identical to a plain run but require the direct serial path —
-        they are incompatible with ``parallel``, ``store``, ``journal``
-        and ``resume`` (systems do not cross process or cache
-        boundaries).
+        identical to a plain run but require a serial run without
+        caching — they are incompatible with ``parallel``, ``store``,
+        ``journal`` and ``resume`` (systems do not cross process or
+        cache boundaries).
         """
         if max_workers is not None and max_workers < 1:
             raise ValueError(
@@ -428,69 +408,65 @@ class ExperimentRunner:
 
     # -- public API --------------------------------------------------------
     def run_one(self, spec: Union[str, ExperimentSpec],
-                profile: str = "full",
-                duration: Optional[float] = None) -> ExperimentResult:
+                profile: str = "full") -> ExperimentResult:
         spec = self._resolve(spec)
-        return self.run([spec], profile=profile, duration=duration)[spec.id]
+        return self.run([spec], profile=profile)[spec.id]
 
     def run(self, specs: Iterable[Union[str, ExperimentSpec]],
-            profile: str = "full",
-            duration: Optional[float] = None
-            ) -> Dict[str, ExperimentResult]:
+            profile: str = "full") -> Dict[str, ExperimentResult]:
         """Run experiments; returns ``{id: ExperimentResult}`` in input
-        order.  ``duration`` overrides the profile's per-point duration
-        (legacy ``run(duration=...)`` compatibility)."""
-        plans = [self._plan(self._resolve(s), profile, duration)
-                 for s in specs]
-        if self.store is None and not self.journal and not self.resume:
-            return self._run_direct(plans)
-        return self._run_cached(plans, profile, duration)
+        order.
 
-    def _run_direct(self, plans: List[_Plan]) -> Dict[str, ExperimentResult]:
-        """The historical evaluation path: no fingerprints, no files."""
-        tasks = [task for plan in plans
-                 for curve_tasks in plan.tasks
-                 for task in curve_tasks]
-        evaluated: Optional[List[Results]] = None
-        if self.parallel and len(tasks) > 1:
-            evaluated = evaluate_points_parallel(tasks, self.max_workers,
-                                                 stacklevel=4)
-        if evaluated is not None:
-            precomputed = dict(zip(map(id, tasks), evaluated))
-            evaluate = lambda task: precomputed[id(task)]  # noqa: E731
-        elif self.configure is not None or self.observe is not None:
-            evaluate = self._evaluate_hooked
-        else:
-            evaluate = _evaluate_point
+        Plan every point, resolve each from the resume journal, then
+        the store, then by simulation, record what was computed into
+        the store and journal, and collect the curves.  Without store,
+        journal or resume (the null case) nothing is fingerprinted or
+        written and :attr:`last_stats` stays ``None``; a serial null
+        run is lazy and stops evaluating a curve at its first saturated
+        point.  Every other run evaluates all planned points up front.
+        """
+        t_start = time.perf_counter()
+        plans = [self._plan(self._resolve(s), profile) for s in specs]
+        entries = [entry for plan in plans for curve in plan.points
+                   for entry in curve]
+        stats = journal = None
+        if self.store is not None or self.journal or self.resume:
+            stats = RunStats(total=len(entries))
+            journal = self._resolve_stored(plans, entries, profile, stats)
+
+        def complete(entry: _PointTask, results: Results) -> None:
+            entry.results = results
+            if stats is not None:
+                stats.misses += 1
+            if self.store is not None and entry.fingerprint is not None:
+                self.store.put(entry.fingerprint, results)
+            if journal is not None:
+                journal.record_point(self._journal_record(entry))
+            for dup in entry.dups:
+                dup.results = results
+                stats.deduped += 1
+                if journal is not None:
+                    journal.record_point(self._journal_record(dup))
+
+        if stats is not None or self.parallel:
+            try:
+                self._evaluate_pending(entries, complete)
+            finally:
+                if stats is not None:
+                    stats.elapsed_s = time.perf_counter() - t_start
+                    self.last_stats = stats
+                    if journal is not None:
+                        journal.finish(stats.to_dict())
         for plan in plans:
-            self._collect(plan, evaluate)
+            self._collect(plan, complete)
         return {plan.spec.id: plan.result for plan in plans}
 
-    def _evaluate_hooked(self, task: Tuple) -> Results:
-        """Serial point evaluation with the configure/observe hooks.
-
-        Mirrors :func:`_evaluate_point` exactly apart from the hook
-        calls; keeping the system in-process is what lets ``observe``
-        read its tracer after the run."""
-        from repro.core.model import TransactionSystem
-
-        x, config, workload, warmup, duration, seed = task
-        if self.configure is not None:
-            config = self.configure(config)
-        builder = getattr(config, "build_system", None)
-        if builder is not None:
-            system = builder(workload, seed=seed)
-        else:
-            system = TransactionSystem(config, workload, seed=seed)
-        results = system.run(warmup=warmup, duration=duration)
-        if self.observe is not None:
-            self.observe(task, system, results)
-        return results
-
-    # -- cached / journaled evaluation ------------------------------------
-    def _run_cached(self, plans: List[_Plan], profile: str,
-                    duration: Optional[float]
-                    ) -> Dict[str, ExperimentResult]:
+    # -- cached / journaled resolution ------------------------------------
+    def _resolve_stored(self, plans: List[_Plan],
+                        entries: List[_PointTask], profile: str,
+                        stats: RunStats):
+        """Fingerprint every point and fill those the resume journal or
+        the store already hold; returns the started journal (or None)."""
         from repro.core.fingerprint import (
             FingerprintError,
             code_version_salt,
@@ -499,20 +475,12 @@ class ExperimentRunner:
         )
         from repro.experiments.export import results_from_dict
 
-        t_start = time.perf_counter()
-        entries: List[_PointTask] = []
-        for plan in plans:
-            for ci, curve_tasks in enumerate(plan.tasks):
-                for pi, task in enumerate(curve_tasks):
-                    entries.append(_PointTask(task, plan, ci, pi))
-        stats = RunStats(total=len(entries))
-
         warned_uncacheable = False
         for entry in entries:
-            _x, config, workload, warmup, dur, seed = entry.task
+            _x, config, workload, warmup, duration, seed = entry.task
             try:
                 entry.fingerprint = point_fingerprint(
-                    config, workload, warmup, dur, seed)
+                    config, workload, warmup, duration, seed)
             except FingerprintError as exc:
                 stats.uncacheable += 1
                 if not warned_uncacheable:
@@ -524,18 +492,18 @@ class ExperimentRunner:
                     warned_uncacheable = True
 
         salt = code_version_salt()
+        ids = [plan.spec.id for plan in plans]
         run_key = fingerprint({
             "journal_schema": 1,
-            "ids": [plan.spec.id for plan in plans],
+            "ids": ids,
             "profile": profile,
             "seed": self.seed,
-            "duration": duration,
             "salt": salt,
         })
         journal = self._open_journal(run_key)
 
         # Resume overlay: completed points of an interrupted run with
-        # the SAME run key (same ids/profile/seed/duration/code).
+        # the SAME run key (same ids/profile/seed/code).
         overlay: Dict[str, Results] = {}
         append = False
         if journal is not None and self.resume:
@@ -569,15 +537,14 @@ class ExperimentRunner:
         if journal is not None:
             journal.start({
                 "run_key": run_key,
-                "ids": [plan.spec.id for plan in plans],
+                "ids": ids,
                 "profile": profile,
                 "seed": self.seed,
-                "duration": duration,
                 "salt": salt,
                 "parallel": self.parallel,
                 "total_points": len(entries),
                 "per_experiment": {
-                    plan.spec.id: sum(len(t) for t in plan.tasks)
+                    plan.spec.id: sum(len(c) for c in plan.points)
                     for plan in plans
                 },
             }, append=append)
@@ -587,47 +554,7 @@ class ExperimentRunner:
             for entry in entries:
                 if entry.results is not None and entry.source == "cache":
                     journal.record_point(self._journal_record(entry))
-
-        # Points still owed a simulation, evaluated once per distinct
-        # fingerprint (identical inputs are deterministic duplicates).
-        pending = [e for e in entries if e.results is None]
-        primaries: Dict[str, _PointTask] = {}
-        unique: List[_PointTask] = []
-        for entry in pending:
-            fp = entry.fingerprint
-            if fp is not None and fp in primaries:
-                primaries[fp].dups.append(entry)
-            else:
-                if fp is not None:
-                    primaries[fp] = entry
-                unique.append(entry)
-
-        def complete(entry: _PointTask, results: Results) -> None:
-            entry.results = results
-            stats.misses += 1
-            if self.store is not None and entry.fingerprint is not None:
-                self.store.put(entry.fingerprint, results)
-            if journal is not None:
-                journal.record_point(self._journal_record(entry))
-            for dup in entry.dups:
-                dup.results = results
-                stats.deduped += 1
-                if journal is not None:
-                    journal.record_point(self._journal_record(dup))
-
-        try:
-            self._evaluate_pending(unique, complete)
-        finally:
-            stats.elapsed_s = time.perf_counter() - t_start
-            self.last_stats = stats
-            if journal is not None:
-                journal.finish(stats.to_dict())
-
-        by_task = {id(entry.task): entry.results for entry in entries}
-        evaluate = lambda task: by_task[id(task)]  # noqa: E731
-        for plan in plans:
-            self._collect(plan, evaluate)
-        return {plan.spec.id: plan.result for plan in plans}
+        return journal
 
     def _open_journal(self, run_key: str):
         from repro.experiments.journal import RunJournal
@@ -668,15 +595,35 @@ class ExperimentRunner:
             "results": results_to_dict(results),
         }
 
-    def _evaluate_pending(self, pending: List[_PointTask],
+    # -- evaluation --------------------------------------------------------
+    def _evaluate_pending(self, entries: List[_PointTask],
                           complete: Callable[[_PointTask, Results], None]
                           ) -> None:
-        """Evaluate entries, calling ``complete`` as each one finishes
-        (streaming: the journal and store see points the moment they
-        exist, which is what makes interruption cheap and ``repro
-        watch`` live).  Parallel evaluation degrades to serial exactly
-        like :func:`evaluate_points_parallel`."""
-        remaining = pending
+        """Evaluate every entry still owed a result, once per distinct
+        fingerprint (identical inputs are deterministic duplicates),
+        calling ``complete`` as each one finishes (streaming: the
+        journal and store see points the moment they exist, which is
+        what makes interruption cheap and ``repro watch`` live).
+
+        This owns the one process pool.  When no pool can be used
+        (restricted sandbox, dead children, unpicklable workload) the
+        unfinished points are evaluated serially, so a genuine
+        simulation error re-raises with a clean single-process
+        traceback.
+        """
+        primaries: Dict[str, _PointTask] = {}
+        pending: List[_PointTask] = []
+        for entry in entries:
+            if entry.results is not None:
+                continue
+            fp = entry.fingerprint
+            if fp is not None and fp in primaries:
+                primaries[fp].dups.append(entry)
+            else:
+                if fp is not None:
+                    primaries[fp] = entry
+                pending.append(entry)
+
         if self.parallel and len(pending) > 1:
             workers = self.max_workers or min(len(pending),
                                               os.cpu_count() or 1)
@@ -689,12 +636,13 @@ class ExperimentRunner:
             except (OSError, pickle.PicklingError, AttributeError,
                     TypeError, BrokenProcessPool) as exc:
                 warnings.warn(
-                    f"parallel cached run fell back to serial "
-                    f"evaluation: {exc!r}", RuntimeWarning, stacklevel=5,
+                    f"parallel run fell back to serial evaluation: "
+                    f"{exc!r}", RuntimeWarning, stacklevel=4,
                 )
-            remaining = [e for e in pending if e.results is None]
-        for entry in remaining:
-            complete(entry, _evaluate_point(entry.task))
+            pending = [e for e in pending if e.results is None]
+        for entry in pending:
+            complete(entry, _evaluate_point(entry.task, self.configure,
+                                                 self.observe))
 
     # -- internals ---------------------------------------------------------
     @staticmethod
@@ -703,10 +651,8 @@ class ExperimentRunner:
             return spec
         return get_experiment(spec)
 
-    def _plan(self, spec: ExperimentSpec, profile_name: str,
-              duration: Optional[float]) -> _Plan:
+    def _plan(self, spec: ExperimentSpec, profile_name: str) -> _Plan:
         prof = spec.profile(profile_name)
-        run_duration = duration if duration is not None else prof.duration
         base_seed = self.seed if self.seed is not None else spec.seed
         result = ExperimentResult(
             experiment_id=spec.id,
@@ -716,33 +662,35 @@ class ExperimentRunner:
             notes=list(spec.notes),
         )
         plan = _Plan(spec=spec, result=result)
-        for curve in spec.curves_for(profile_name):
+        for ci, curve in enumerate(spec.curves_for(profile_name)):
             result.series.append(Series(label=curve.label))
-            plan.tasks.append([
-                (x, *curve.build(x), prof.warmup, run_duration,
-                 point_seed(base_seed, i))
+            plan.points.append([
+                _PointTask((x, *curve.build(x), prof.warmup, prof.duration,
+                            point_seed(base_seed, i)), plan, ci, i)
                 for i, x in enumerate(prof.xs)
             ])
         return plan
 
     def _collect(self, plan: _Plan,
-                 evaluate: Callable[[Tuple], Results]) -> None:
-        """Fill ``plan.result`` from per-task results.
+                 complete: Callable[[_PointTask, Results], None]) -> None:
+        """Fill ``plan.result`` from its points, in x order.
 
-        In the serial path ``evaluate`` runs the simulation lazily and
-        a truncating curve stops at its first saturated point, exactly
-        like ``sweep()`` always did; in the parallel path every point
-        was already evaluated and results beyond the truncation point
-        are simply discarded (post-hoc truncation), so both paths
-        produce identical series.
+        A point still owed a result (a lazy serial run) is evaluated
+        here, so a truncating curve stops simulating at its first
+        saturated point; points evaluated up front beyond that point
+        are simply discarded (post-hoc truncation).  Both give the
+        same series.
         """
         truncate = plan.spec.truncate_on_saturation
-        for series, curve_tasks in zip(plan.result.series, plan.tasks):
-            for task in curve_tasks:
-                results = evaluate(task)
+        for series, curve in zip(plan.result.series, plan.points):
+            for entry in curve:
+                if entry.results is None:
+                    complete(entry, _evaluate_point(entry.task, self.configure,
+                                                 self.observe))
+                x, results = entry.task[0], entry.results
                 if truncate:
-                    if _append_point(series, task[0], results):
+                    if _append_point(series, x, results):
                         break
                 else:
-                    series.points.append(SeriesPoint(x=task[0],
+                    series.points.append(SeriesPoint(x=x,
                                                      results=results))

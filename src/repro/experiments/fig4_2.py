@@ -18,16 +18,13 @@ near CPU saturation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.experiments.api import (
     CurveSpec,
-    ExperimentRunner,
     ExperimentSpec,
     SweepProfile,
     experiment,
-    get_experiment,
-    legacy_run,
 )
 from repro.experiments.defaults import (
     debit_credit_config,
@@ -38,10 +35,9 @@ from repro.experiments.defaults import (
     nvem_write_buffer,
     ssd_resident,
 )
-from repro.experiments.runner import ExperimentResult
 from repro.workload.debit_credit import DebitCreditWorkload
 
-__all__ = ["ALTERNATIVES", "run", "spec"]
+__all__ = ["ALTERNATIVES", "spec"]
 
 RATES = [10, 100, 200, 300, 400, 500, 600, 700]
 FAST_RATES = [100, 500]
@@ -86,17 +82,3 @@ def spec() -> ExperimentSpec:
             "> SSD > NVEM; memory = NVEM + one 6.4 ms log I/O",
         ),
     )
-
-
-def run(fast: bool = False, duration: Optional[float] = None,
-        parallel: bool = False) -> ExperimentResult:
-    """Deprecated: resolve ``fig4_2`` through the registry instead."""
-    return legacy_run("fig4_2", fast, duration, parallel)
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(ExperimentRunner().run_one(get_experiment("fig4_2")).to_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

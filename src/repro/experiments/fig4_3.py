@@ -11,17 +11,14 @@ the two strategies are nearly indistinguishable.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.config import UpdateStrategy
 from repro.experiments.api import (
     CurveSpec,
-    ExperimentRunner,
     ExperimentSpec,
     SweepProfile,
     experiment,
-    get_experiment,
-    legacy_run,
 )
 from repro.experiments.defaults import (
     debit_credit_config,
@@ -29,10 +26,9 @@ from repro.experiments.defaults import (
     disk_with_nv_cache_write_buffer,
     nvem_resident,
 )
-from repro.experiments.runner import ExperimentResult
 from repro.workload.debit_credit import DebitCreditWorkload
 
-__all__ = ["ALTERNATIVES", "run", "spec"]
+__all__ = ["ALTERNATIVES", "spec"]
 
 RATES = [100, 200, 300, 400, 500, 600, 700]
 FAST_RATES = [100, 500]
@@ -81,17 +77,3 @@ def spec() -> ExperimentSpec:
             "buffers; FORCE+WB beats disk-based NOFORCE; ~equal on NVEM",
         ),
     )
-
-
-def run(fast: bool = False, duration: Optional[float] = None,
-        parallel: bool = False) -> ExperimentResult:
-    """Deprecated: resolve ``fig4_3`` through the registry instead."""
-    return legacy_run("fig4_3", fast, duration, parallel)
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(ExperimentRunner().run_one(get_experiment("fig4_3")).to_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -14,16 +14,13 @@ response advantage coming mostly from write absorption.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.experiments.api import (
     CurveSpec,
-    ExperimentRunner,
     ExperimentSpec,
     SweepProfile,
     experiment,
-    get_experiment,
-    legacy_run,
 )
 from repro.experiments.defaults import (
     debit_credit_config,
@@ -32,7 +29,7 @@ from repro.experiments.defaults import (
 from repro.experiments.runner import ExperimentResult
 from repro.workload.debit_credit import DebitCreditWorkload
 
-__all__ = ["KINDS", "hit_table", "run", "spec"]
+__all__ = ["KINDS", "hit_table", "spec"]
 
 CACHE_SIZES = [200, 500, 1000, 2000, 5000]
 FAST_CACHE_SIZES = [500, 2000]
@@ -96,18 +93,3 @@ def spec() -> ExperimentSpec:
         ),
         renderer=_render,
     )
-
-
-def run(fast: bool = False, duration: Optional[float] = None,
-        parallel: bool = False) -> ExperimentResult:
-    """Deprecated: resolve ``fig4_5`` through the registry instead."""
-    return legacy_run("fig4_5", fast, duration, parallel)
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    result = ExperimentRunner().run_one(get_experiment("fig4_5"))
-    print(_render(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -19,16 +19,13 @@ pages replaced from main memory, not just modified ones).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.experiments.api import (
     CurveSpec,
-    ExperimentRunner,
     ExperimentSpec,
     SweepProfile,
     experiment,
-    get_experiment,
-    legacy_run,
 )
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.trace_setup import (
@@ -39,7 +36,7 @@ from repro.experiments.trace_setup import (
     trace_workload,
 )
 
-__all__ = ["CONFIGURATIONS", "normalized_table", "run", "spec"]
+__all__ = ["CONFIGURATIONS", "normalized_table", "spec"]
 
 MM_SIZES = [100, 250, 500, 1000, 2000]
 FAST_MM_SIZES = [250, 1000]
@@ -100,18 +97,3 @@ def spec() -> ExperimentSpec:
         metric=lambda r: r.normalized_response_time(MEAN_TX_SIZE) * 1000,
         metric_fmt="{:8.1f}",
     )
-
-
-def run(fast: bool = False, duration: Optional[float] = None,
-        parallel: bool = False) -> ExperimentResult:
-    """Deprecated: resolve ``fig4_6`` through the registry instead."""
-    return legacy_run("fig4_6", fast, duration, parallel)
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(normalized_table(ExperimentRunner().run_one(
-        get_experiment("fig4_6"))))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

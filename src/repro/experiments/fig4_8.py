@@ -20,7 +20,7 @@ and hence lock holding times — nearly vanish.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.config import (
     CCMode,
@@ -32,12 +32,9 @@ from repro.core.config import (
 )
 from repro.experiments.api import (
     CurveSpec,
-    ExperimentRunner,
     ExperimentSpec,
     SweepProfile,
     experiment,
-    get_experiment,
-    legacy_run,
 )
 from repro.experiments.defaults import (
     db_disk_unit,
@@ -45,10 +42,9 @@ from repro.experiments.defaults import (
     default_nvem,
     log_disk_unit,
 )
-from repro.experiments.runner import ExperimentResult
 from repro.workload.synthetic import SyntheticWorkload
 
-__all__ = ["ALLOCATIONS", "build_config", "run", "spec"]
+__all__ = ["ALLOCATIONS", "build_config", "spec"]
 
 RATES = [10, 50, 100, 150, 200, 300, 500, 700]
 FAST_RATES = [50, 150]
@@ -156,17 +152,3 @@ def spec() -> ExperimentSpec:
             "never thrashes",
         ),
     )
-
-
-def run(fast: bool = False, duration: Optional[float] = None,
-        parallel: bool = False) -> ExperimentResult:
-    """Deprecated: resolve ``fig4_8`` through the registry instead."""
-    return legacy_run("fig4_8", fast, duration, parallel)
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(ExperimentRunner().run_one(get_experiment("fig4_8")).to_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

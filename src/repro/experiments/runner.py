@@ -6,45 +6,30 @@ This module holds the layer *below* the declarative experiment API of
 * :class:`ExperimentResult` / :class:`Series` / :class:`SeriesPoint` —
   the result containers every registered experiment produces, plus the
   aligned ASCII table renderer.
-* :func:`point_seed` — the deterministic per-point seed derivation
-  every evaluation path shares (serial, parallel, cached), which is
-  what makes their outputs byte-identical.
-* :func:`_evaluate_point` / :func:`evaluate_points_parallel` — one
-  sweep point as a picklable task ``(x, config, workload, warmup,
-  duration, seed)`` and its process-pool evaluation with a serial
-  fallback.
-* :func:`sweep` — the historical single-curve driver, still used by
-  ad-hoc studies (``examples/``) and property tests.
+* :func:`point_seed` — the deterministic per-point seed derivation,
+  which is what makes serial, parallel and cache-served outputs
+  byte-identical.
+* :func:`_evaluate_point` — the one function that builds and runs a
+  sweep point's system from a picklable task ``(x, config, workload,
+  warmup, duration, seed)``; module-level so pool workers can call it.
 
-Figure modules no longer expose ``run(fast=...)``; they register
+Figure modules register
 :class:`~repro.experiments.api.ExperimentSpec` factories under stable
-ids (``@experiment("fig4_1")``) and are discovered through the
-registry.  The :class:`~repro.experiments.api.ExperimentRunner`
-evaluates specs with figure-wide parallelism and, when given a
-:class:`~repro.experiments.store.ResultStore`, consults the
-content-addressed point cache before scheduling a task here: a task's
-fingerprint (config + workload + run window + seed + code-version
-salt) either hits a stored :class:`~repro.core.metrics.Results` —
-byte-identical to recomputation — or is evaluated by the functions in
-this module and streamed back into the store and the run's checkpoint
-journal.
+ids (``@experiment("fig4_1")``); the
+:class:`~repro.experiments.api.ExperimentRunner` evaluates them, in
+process or through its process pool, and is the only caller of
+:func:`_evaluate_point`.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.metrics import Results
 from repro.core.model import TransactionSystem
 
-__all__ = ["ExperimentResult", "Series", "SeriesPoint",
-           "evaluate_points_parallel", "point_seed", "sweep"]
+__all__ = ["ExperimentResult", "Series", "SeriesPoint", "point_seed"]
 
 
 @dataclass
@@ -157,9 +142,17 @@ def point_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + (index + 1) * _SEED_STRIDE) % _SEED_SPACE
 
 
-def _evaluate_point(task: Tuple) -> Results:
-    """Run one sweep point; module-level so worker processes can call it."""
+def _evaluate_point(task: Tuple, configure: Optional[Callable] = None,
+                    observe: Optional[Callable] = None) -> Results:
+    """Build and run one sweep point's system.
+
+    ``configure(config)`` returns the config actually built and
+    ``observe(task, system, results)`` sees the live system after the
+    run (the runner's in-process hooks; pool workers get neither).
+    """
     x, config, workload, warmup, duration, seed = task
+    if configure is not None:
+        config = configure(config)
     builder = getattr(config, "build_system", None)
     if builder is not None:
         # Configs owning system construction (e.g. ClusterConfig)
@@ -167,32 +160,10 @@ def _evaluate_point(task: Tuple) -> Results:
         system = builder(workload, seed=seed)
     else:
         system = TransactionSystem(config, workload, seed=seed)
-    return system.run(warmup=warmup, duration=duration)
-
-
-def evaluate_points_parallel(tasks: Sequence[Tuple],
-                             max_workers: Optional[int] = None,
-                             stacklevel: int = 3
-                             ) -> Optional[List[Results]]:
-    """Evaluate point tasks across worker processes, in task order.
-
-    Returns ``None`` when no worker pool could be used (restricted
-    sandbox, dead children, unpicklable workload) so the caller can
-    degrade to serial evaluation: a genuine simulation error then
-    re-raises from the serial path with a clean single-process
-    traceback.
-    """
-    workers = max_workers or min(len(tasks), os.cpu_count() or 1)
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_evaluate_point, tasks))
-    except (OSError, pickle.PicklingError, AttributeError, TypeError,
-            BrokenProcessPool) as exc:
-        warnings.warn(
-            f"parallel sweep fell back to serial evaluation: {exc!r}",
-            RuntimeWarning, stacklevel=stacklevel,
-        )
-        return None
+    results = system.run(warmup=warmup, duration=duration)
+    if observe is not None:
+        observe(task, system, results)
+    return results
 
 
 def _append_point(series: Series, x: float, results: Results) -> bool:
@@ -203,45 +174,3 @@ def _append_point(series: Series, x: float, results: Results) -> bool:
         return True
     series.points.append(SeriesPoint(x=x, results=results))
     return results.saturated
-
-
-def sweep(label: str,
-          xs: Sequence[float],
-          build: Callable[[float], Tuple],
-          warmup: float = 3.0,
-          duration: float = 8.0,
-          seed: int = 1,
-          parallel: bool = False,
-          max_workers: Optional[int] = None) -> Series:
-    """Run one curve: ``build(x)`` returns ``(config, workload)``.
-
-    A saturated point (diverging input queue) ends the curve — points
-    past saturation are not meaningful in an open system, and the paper
-    likewise truncates such curves (e.g. the single-log-disk line of
-    Fig. 4.1).
-
-    ``build`` runs in this process for every point (it may close over
-    arbitrary state); only the resulting ``(config, workload)`` pairs —
-    plain picklable data — are shipped to workers when ``parallel``.
-    Each point gets a :func:`point_seed` derived from ``seed``, so the
-    parallel and serial paths produce identical series: the parallel
-    path evaluates all points concurrently and truncates at the first
-    saturated one, where the serial path stops evaluating.
-    """
-    tasks = [
-        (x, *build(x), warmup, duration, point_seed(seed, i))
-        for i, x in enumerate(xs)
-    ]
-    series = Series(label=label)
-    if parallel and len(tasks) > 1:
-        all_results = evaluate_points_parallel(tasks, max_workers,
-                                               stacklevel=3)
-        if all_results is not None:
-            for task, results in zip(tasks, all_results):
-                if _append_point(series, task[0], results):
-                    break
-            return series
-    for task in tasks:
-        if _append_point(series, task[0], _evaluate_point(task)):
-            break
-    return series

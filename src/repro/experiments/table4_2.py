@@ -29,17 +29,14 @@ NVEM cache 1000           13.1    7.2   3.4    0.6
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.config import UpdateStrategy
 from repro.experiments.api import (
     CurveSpec,
-    ExperimentRunner,
     ExperimentSpec,
     SweepProfile,
     experiment,
-    get_experiment,
-    legacy_run,
 )
 from repro.experiments.defaults import (
     debit_credit_config,
@@ -48,7 +45,7 @@ from repro.experiments.defaults import (
 from repro.experiments.runner import ExperimentResult
 from repro.workload.debit_credit import DebitCreditWorkload
 
-__all__ = ["HitRatioTable", "hit_tables", "run", "spec"]
+__all__ = ["HitRatioTable", "hit_tables", "spec"]
 
 BUFFER_SIZES = [200, 500, 1000, 2000]
 FAST_BUFFER_SIZES = [200, 1000]
@@ -183,22 +180,3 @@ def spec() -> ExperimentSpec:
         # Hit-ratio tables report every cell; curves are not truncated.
         truncate_on_saturation=False,
     )
-
-
-def run(fast: bool = False, duration: Optional[float] = None,
-        parallel: bool = False) -> Dict[str, HitRatioTable]:
-    """Deprecated: resolve ``table4_2`` through the registry instead.
-
-    Returns ``{"a": HitRatioTable, "b": HitRatioTable}`` like the
-    historical interface.
-    """
-    return hit_tables(legacy_run("table4_2", fast, duration, parallel))
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    result = ExperimentRunner().run_one(get_experiment("table4_2"))
-    print(_render(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -363,6 +363,33 @@ class TestNVEMCache:
         assert set(levels) <= {"main_memory", "nvem_cache"}
 
 
+    def test_waiting_miss_takes_page_migrated_meanwhile(self):
+        """Two transactions miss page 4 at t=0 and both decide to read
+        it from disk.  The first fetches it; a later miss evicts it
+        (clean) into the NVEM cache while the second still waits for a
+        frame.  The second must then take the NVEM copy, not read the
+        disk and leave the page in main memory and NVEM at once."""
+        env, bm, metrics, _ = self.build(mode=NVEMCachingMode.UNMODIFIED,
+                                         buffer_size=4, cache_size=1)
+        accesses = [(13, True), (2, False), (1, False), (22, False),
+                    (1, True), (4, False), (12, False), (4, False),
+                    (16, False), (0, False), (2, False)]
+        levels = {}
+
+        def proc(tx_id, reference):
+            tx = Transaction(tx_id, "t", [])
+            levels[tx_id] = yield from bm.fix_page(tx, reference)
+
+        for tx_id, (page, write) in enumerate(accesses, start=1):
+            env.process(proc(tx_id, ref(page, write)))
+        env.run()
+        assert levels[8] == "disk"  # first miss on page 4
+        assert levels[6] == "nvem_cache"  # waited, then took the NVEM copy
+        assert metrics.io_counts.get("nvem_cache_read") == 1
+        assert (0, 4) in bm.mm and (0, 4) not in bm.nvem_cache
+        assert bm.check_invariants() == []
+
+
 class TestNVEMWriteBuffer:
     def build(self, wb_size=2):
         return build_system(buffer_size=2, nvem_write_buffer=True,

@@ -1,7 +1,10 @@
 """Tests for the experiment API: specs, registry, figure-wide runner."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.model import TransactionSystem
 from repro.experiments import api
 from repro.experiments.runner import ExperimentResult, point_seed
 from tests.experiments.conftest import make_tiny_spec, tiny_build
@@ -122,15 +125,20 @@ class TestRunner:
                     assert sp.results == pp.results
 
     def test_point_seeds_match_legacy_sweep(self, tiny_spec):
-        """The runner reuses sweep()'s per-point seeds, so results stay
-        byte-identical to the historical serial path."""
-        from repro.experiments.runner import sweep
-
-        legacy = sweep("alpha", [20.0, 40.0], tiny_build,
-                       warmup=0.5, duration=1.0, seed=tiny_spec.seed)
+        """Point i of a curve is the system built from the curve's
+        inputs with seed ``point_seed(spec.seed, i)``, run for the
+        profile's window: the runner adds nothing of its own."""
         result = api.ExperimentRunner().run_one(tiny_spec, "full")
-        for lp, rp in zip(legacy.points, result.series[0].points):
-            assert lp.results == rp.results
+        profile = tiny_spec.profile("full")
+        points = result.series[0].points
+        assert [p.x for p in points] == list(profile.xs)
+        for i, point in enumerate(points):
+            config, workload = tiny_build(point.x)
+            system = TransactionSystem(
+                config, workload, seed=point_seed(tiny_spec.seed, i))
+            expected = system.run(warmup=profile.warmup,
+                                  duration=profile.duration)
+            assert point.results == expected
 
     def test_truncation_post_hoc(self):
         """Parallel evaluation truncates each curve at its first
@@ -150,8 +158,11 @@ class TestRunner:
         assert result.series[0].xs() == [20.0, 100_000.0]
 
     def test_duration_override(self, tiny_spec):
-        result = api.ExperimentRunner().run_one(tiny_spec, "fast",
-                                                duration=0.3)
+        """A profile replaced with a shorter duration runs that long."""
+        fast = dataclasses.replace(tiny_spec.profile("fast"), duration=0.3)
+        spec = dataclasses.replace(tiny_spec, profiles={
+            "fast": fast, "full": tiny_spec.profile("full")})
+        result = api.ExperimentRunner().run_one(spec, "fast")
         point = result.series[0].points[0]
         assert point.results.simulated_time == pytest.approx(0.3, abs=0.2)
 

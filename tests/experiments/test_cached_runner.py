@@ -149,17 +149,21 @@ class TestUncacheable:
 
 
 class TestDirectPathUntouched:
-    def test_no_cache_flags_use_direct_path(self, tiny_spec, monkeypatch):
-        """Without store/journal/resume the runner takes the historical
-        code path and never imports fingerprints."""
+    def test_no_cache_flags_use_direct_path(self, tiny_spec, monkeypatch,
+                                            tmp_path):
+        """Without store/journal/resume (the null case) a run never
+        fingerprints a point, writes no file and keeps no stats."""
+        import repro.core.fingerprint as fingerprint
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the null case must not fingerprint")
+
+        monkeypatch.setattr(fingerprint, "point_fingerprint", refuse)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         runner = ExperimentRunner()
-        called = {}
-
-        def spy(plans, profile, duration):
-            called["cached"] = True
-            return {}
-
-        monkeypatch.setattr(runner, "_run_cached", spy)
-        runner.run_one(tiny_spec, profile="fast")
-        assert "cached" not in called
+        result = runner.run_one(tiny_spec, profile="fast")
+        assert all(series.points for series in result.series)
         assert runner.last_stats is None
+        assert runner.last_journal_path is None
+        assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 """Tests for ASCII charting and CSV/JSON export."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -80,9 +81,12 @@ class TestCharting:
 
     def test_chart_on_real_experiment(self):
         """End-to-end: chart a real (tiny) fig4_2 run via the registry."""
-        from repro.experiments.api import ExperimentRunner
-        result = ExperimentRunner().run_one("fig4_2", "fast",
-                                            duration=2.0)
+        from repro.experiments.api import ExperimentRunner, get_experiment
+        spec = get_experiment("fig4_2")
+        fast = dataclasses.replace(spec.profile("fast"), duration=2.0)
+        spec = dataclasses.replace(spec, profiles={"fast": fast,
+                                                   "full": fast})
+        result = ExperimentRunner().run_one(spec, "fast")
         chart = render_chart(result)
         assert "fig4_2" in chart
 

@@ -286,7 +286,7 @@ class TestRegistryWideExport:
     def stub_evaluation(self, monkeypatch):
         """Replace simulation with canned results (build() still runs)."""
         monkeypatch.setattr(api, "_evaluate_point",
-                            lambda task: fake_results(0.02))
+                            lambda task, *hooks: fake_results(0.02))
 
     def test_every_registered_experiment_exports_cleanly(
             self, tmp_path, stub_evaluation):

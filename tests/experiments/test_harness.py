@@ -1,5 +1,7 @@
 """Tests for the experiment harness and experiment configurations."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import (
@@ -13,7 +15,7 @@ from repro.core.config import (
     UpdateStrategy,
 )
 from repro.core.metrics import Results
-from repro.experiments import runner
+from repro.experiments import api, runner
 from repro.experiments.defaults import (
     db_disk_unit,
     debit_credit_config,
@@ -86,7 +88,7 @@ class TestSeriesAndTables:
             result.series_by_label("missing")
 
     def test_sweep_stops_at_saturation(self):
-        """sweep() must truncate a curve at its first saturated point."""
+        """The runner must truncate a curve at its first saturated point."""
         def build(rate):
             config = SystemConfig(
                 partitions=[PartitionConfig("p", num_objects=100,
@@ -113,9 +115,13 @@ class TestSeriesAndTables:
                                                   True)])
                 PoissonArrivals(self.rate, factory).start(system)
 
-        series = runner.sweep("s", [50, 100_000, 200_000], build,
-                              warmup=0.2, duration=2.0)
-        xs = series.xs()
+        profile = api.SweepProfile(xs=(50, 100_000, 200_000), warmup=0.2,
+                                   duration=2.0)
+        spec = api.ExperimentSpec(
+            id="_saturation", title="t", x_label="x", y_label="y",
+            curves=[api.CurveSpec(label="s", build=build)],
+            profiles={"fast": profile, "full": profile})
+        xs = api.ExperimentRunner().run_one(spec).series[0].xs()
         assert 50 in xs
         assert 200_000 not in xs  # curve truncated at saturation
 
@@ -206,8 +212,11 @@ class TestExperimentModules:
             trace_config(trace_for(fast=True), "tape", 500)
 
     def test_fig4_1_fast_run_has_expected_shape(self):
-        from repro.experiments import fig4_1
-        result = fig4_1.run(fast=True, duration=3.0)
+        spec = api.get_experiment("fig4_1")
+        fast = dataclasses.replace(spec.profile("fast"), duration=3.0)
+        spec = dataclasses.replace(spec, profiles={"fast": fast,
+                                                   "full": fast})
+        result = api.ExperimentRunner().run_one(spec, "fast")
         assert len(result.series) == 4
         single_disk = result.series_by_label("log on single disk")
         nvem_log = result.series_by_label("log in NVEM")

@@ -10,7 +10,7 @@ hold:
 * every page access is attributed to exactly one hierarchy level.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.bm import BufferManager
 from repro.core.config import (
@@ -80,6 +80,16 @@ def test_mm_buffer_invariants(accesses, buffer_size, strategy):
                           NVEMCachingMode.ALL]),
     strategy=st.sampled_from([UpdateStrategy.NOFORCE,
                               UpdateStrategy.FORCE]),
+)
+@example(
+    # A transaction waiting for a frame kept its stale "read from disk"
+    # decision for page 4 after the page had migrated into the NVEM
+    # cache, leaving it in main memory and NVEM at once.
+    accesses=[(13, True), (2, False), (1, False), (22, False), (1, True),
+              (4, False), (12, False), (4, False), (16, False),
+              (0, False), (2, False)],
+    buffer_size=4, cache_size=1, mode=NVEMCachingMode.UNMODIFIED,
+    strategy=UpdateStrategy.NOFORCE,
 )
 @settings(max_examples=60, deadline=None)
 def test_nvem_cache_invariants(accesses, buffer_size, cache_size, mode,
