@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from typing import Generator, List, Sequence, Tuple
 
-from repro.core.cc import LockMode, LockOutcome
 from repro.core.tm import TransactionManager
 from repro.core.transaction import ObjectRef, Transaction
 from repro.sim import Event
@@ -49,7 +48,7 @@ __all__ = ["ClusterTransaction", "ClusterTransactionManager", "RemotePiece"]
 class ClusterTransaction(Transaction):
     """A transaction with a home node and optional remote pieces."""
 
-    __slots__ = ("home_node", "remote_work")
+    __slots__ = ("home_node", "remote_work", "pieces")
 
     def __init__(self, tx_id: int, tx_type: str, refs: List[ObjectRef],
                  home_node: int,
@@ -59,6 +58,8 @@ class ClusterTransaction(Transaction):
         self.home_node = home_node
         #: ``(participant_node, refs)`` per remote piece.
         self.remote_work = tuple(remote_work)
+        #: The current attempt's :class:`RemotePiece` per remote piece.
+        self.pieces: Sequence["RemotePiece"] = ()
 
     @property
     def is_distributed(self) -> bool:
@@ -128,8 +129,9 @@ class ClusterTransactionManager(TransactionManager):
         env = self.env
         btx = piece.branch_tx
         # Participant spans are diagnostic details keyed by the branch
-        # id (piece.work / piece.prepare / piece.indoubt); inline
-        # checks are fine off the single-node hot path.
+        # id (piece.work / piece.prepare / piece.indoubt).  The branch's
+        # references emit no phase spans: that time already lies inside
+        # the coordinator's "2pc.work" span.
         traced = btx.traced and self.tracer is not None
         try:
             gate = self._offline_gate
@@ -139,28 +141,11 @@ class ClusterTransactionManager(TransactionManager):
                 yield gate
             btx.start_time = env.now
             work_from = env.now
-            locks = self.locks
-            lock_plan = self._lock_plan
-            for ref in piece.refs:
-                pidx = ref.partition_index
-                page_level = lock_plan[pidx]
-                if page_level is not None:
-                    lock_id = ((pidx, 0, ref.page_no) if page_level
-                               else (pidx, 1, ref.object_no))
-                    mode = LockMode.X if ref.is_write else LockMode.S
-                    if not locks.try_acquire(btx, lock_id, mode):
-                        outcome = yield from locks.acquire(btx, lock_id,
-                                                           mode)
-                        if outcome is LockOutcome.DEADLOCK:
-                            locks.release_all(btx)
-                            if not piece.work_done.triggered:
-                                piece.work_done.succeed("failed")
-                            return
-                burst = self.cpu.execute_event(btx, self.cm.instr_or)
-                if burst is not None:
-                    yield burst
-                if self.bm.fix_page_fast(btx, ref) is None:
-                    yield from self.bm.fix_page_miss(btx, ref)
+            if not (yield from self._run_refs(btx, None)):
+                self.locks.release_all(btx)
+                if not piece.work_done.triggered:
+                    piece.work_done.succeed("failed")
+                return
             if not piece.work_done.triggered:
                 piece.work_done.succeed("ok")
             if traced and env.now > work_from:
@@ -208,168 +193,91 @@ class ClusterTransactionManager(TransactionManager):
             if not piece.vote.triggered:
                 piece.vote.succeed("no")
 
-    # -- coordinator side ------------------------------------------------
-    def _execute(self, tx: Transaction) -> Generator:
+    # -- coordinator side: the commit-variant hooks of the base TM -----
+    def _farm_out(self, tx: Transaction, tracer) -> Generator:
+        """Farm the remote pieces out and wait for all of them: remote
+        work completes before any home lock is taken (the cross-node
+        deadlock-avoidance order, see module docstring)."""
+        remote_work = getattr(tx, "remote_work", ())
+        if not remote_work:
+            return True
         cluster = self.cluster
         env = self.env
-        remote_work = getattr(tx, "remote_work", ())
-        # Tracing here is inline (no duplicated twin): the cluster path
-        # already pays message/protocol machinery per transaction, so a
-        # handful of predictable branches is inside the kernel
-        # benchmark's noise — unlike the single-node hot loop.
-        traced = tx.traced and self.tracer is not None
-        while True:
-            tx.start_time = env.now
-            t0 = env.now
-            burst = self.cpu.execute_event(tx, self.cm.instr_bot)
-            if burst is not None:
-                yield burst
-                if traced and env.now > t0:
-                    self.tracer.span("cpu.bot", tx.tx_id, t0, env.now)
-            aborted = False
-            pieces: List[RemotePiece] = []
-            if remote_work:
-                work_from = env.now
-                for node_id, refs in remote_work:
-                    branch = Transaction(cluster.next_branch_id(),
-                                         tx.tx_type, list(refs))
-                    branch.traced = tx.traced
-                    pieces.append(RemotePiece(env, node_id, refs, branch))
-                # Registered before the first message: a coordinator
-                # crash at any later instant leaves the pieces for the
-                # GEM failover to resolve.
-                cluster.register_pieces(tx, pieces)
-                for piece in pieces:
-                    remote = cluster.nodes[piece.node_id]
-                    yield from cluster.bus.one_way(
-                        tx, self.cpu, remote.cpu, kind="2pc_work")
-                    remote.tm.spawn_piece(tx, piece)
-                # Remote work completes before any home lock is taken
-                # (the cross-node deadlock-avoidance order, see module
-                # docstring).
-                for piece in pieces:
-                    status = yield piece.work_done
-                    if status != "ok":
-                        aborted = True
-                if traced and env.now > work_from:
-                    self.tracer.span("2pc.work", tx.tx_id, work_from,
-                                     env.now)
-            if not aborted:
-                locks = self.locks
-                lock_plan = self._lock_plan
-                for ref in tx.refs:
-                    pidx = ref.partition_index
-                    page_level = lock_plan[pidx]
-                    if page_level is not None:
-                        lock_id = ((pidx, 0, ref.page_no) if page_level
-                                   else (pidx, 1, ref.object_no))
-                        mode = LockMode.X if ref.is_write else LockMode.S
-                        if not locks.try_acquire(tx, lock_id, mode):
-                            outcome = yield from locks.acquire(tx, lock_id,
-                                                               mode)
-                            if outcome is LockOutcome.DEADLOCK:
-                                aborted = True
-                                break
-                    t0 = env.now
-                    burst = self.cpu.execute_event(tx, self.cm.instr_or)
-                    if burst is not None:
-                        yield burst
-                        if traced and env.now > t0:
-                            self.tracer.span("cpu.ref", tx.tx_id, t0,
-                                             env.now)
-                    if self.bm.fix_page_fast(tx, ref) is None:
-                        t0 = env.now
-                        yield from self.bm.fix_page_miss(tx, ref)
-                        if traced and env.now > t0:
-                            self.tracer.span("fix", tx.tx_id, t0, env.now)
-            if not aborted:
-                t0 = env.now
-                burst = self.cpu.execute_event(tx, self.cm.instr_eot)
-                if burst is not None:
-                    yield burst
-                    if traced and env.now > t0:
-                        self.tracer.span("cpu.eot", tx.tx_id, t0, env.now)
-                commit_from = env.now
-                if pieces:
-                    # Phase 1: PREPARE every participant, collect votes.
-                    for piece in pieces:
-                        remote = cluster.nodes[piece.node_id]
-                        yield from cluster.bus.one_way(
-                            tx, self.cpu, remote.cpu, kind="2pc_prepare")
-                        if not piece.prepare_req.triggered:
-                            piece.prepare_req.succeed()
-                    votes = []
-                    for piece in pieces:
-                        votes.append((yield piece.vote))
-                    if traced and env.now > commit_from:
-                        self.tracer.span("2pc.prepare", tx.tx_id,
-                                         commit_from, env.now)
-                    if all(vote == "yes" for vote in votes):
-                        # Phase 2: force the decision record through
-                        # the home log device, mirror it into GEM,
-                        # then notify the participants.
-                        t0 = env.now
-                        yield from self.bm.commit(tx)
-                        if traced and env.now > t0:
-                            self.tracer.span("2pc.decision", tx.tx_id,
-                                             t0, env.now)
-                        cluster.record_decision(tx.tx_id)
-                        t0 = env.now
-                        for piece in pieces:
-                            remote = cluster.nodes[piece.node_id]
-                            yield from cluster.bus.one_way(
-                                tx, self.cpu, remote.cpu,
-                                kind="2pc_commit")
-                            if not piece.decision.triggered:
-                                piece.decision.succeed("commit")
-                        if traced and env.now > t0:
-                            self.tracer.span("2pc.notify", tx.tx_id,
-                                             t0, env.now)
-                        cluster.clear_pieces(tx)
-                        self.locks.release_all(tx)
-                        self.metrics.record_commit(
-                            tx, env.now - tx.arrival_time)
-                        self.metrics.record_cluster_commit(
-                            True, env.now - commit_from)
-                        if traced:
-                            self.tracer.span("tx", tx.tx_id,
-                                             tx.arrival_time, env.now)
-                        return
-                    aborted = True
-                else:
-                    # Local transaction: plain 1PC commit, but the
-                    # commit phase is still measured for the
-                    # 1PC-vs-2PC ablation.
-                    yield from self.bm.commit(tx)
-                    if traced and env.now > commit_from:
-                        self.tracer.span("commit", tx.tx_id,
-                                         commit_from, env.now)
-                    self.locks.release_all(tx)
-                    self.metrics.record_commit(
-                        tx, env.now - tx.arrival_time)
-                    self.metrics.record_cluster_commit(
-                        False, env.now - commit_from)
-                    if traced:
-                        self.tracer.span("tx", tx.tx_id,
-                                         tx.arrival_time, env.now)
-                    return
-            # Abort: presumed abort needs no abort record — just tell
-            # the live participants, back out, and retry with the same
-            # reference string (access invariance, as in the base TM).
-            for piece in pieces:
-                if not piece.decision.triggered:
-                    piece.decision.succeed("abort")
-            cluster.clear_pieces(tx)
-            self.locks.release_all(tx)
-            self.metrics.record_abort(tx)
-            tx.reset_for_restart()
-            if self.streams is not None:
-                backoff = self.streams.exponential(
-                    "restart-backoff", 0.002 * min(tx.restarts, 5)
-                )
-                if backoff > 0:
-                    t0 = env.now
-                    yield env.timeout(backoff)
-                    if traced:
-                        self.tracer.span("backoff", tx.tx_id, t0,
-                                         env.now)
+        work_from = env.now
+        pieces = tx.pieces = []
+        for node_id, refs in remote_work:
+            branch = Transaction(cluster.next_branch_id(), tx.tx_type,
+                                 list(refs))
+            branch.traced = tx.traced
+            pieces.append(RemotePiece(env, node_id, refs, branch))
+        # Registered before the first message: a coordinator crash at
+        # any later instant leaves the pieces for the GEM failover to
+        # resolve.
+        cluster.register_pieces(tx, pieces)
+        for piece in pieces:
+            remote = cluster.nodes[piece.node_id]
+            yield from cluster.bus.one_way(
+                tx, self.cpu, remote.cpu, kind="2pc_work")
+            remote.tm.spawn_piece(tx, piece)
+        ok = True
+        for piece in pieces:
+            status = yield piece.work_done
+            if status != "ok":
+                ok = False
+        if tracer is not None and env.now > work_from:
+            tracer.span("2pc.work", tx.tx_id, work_from, env.now)
+        return ok
+
+    def _commit(self, tx: Transaction, tracer) -> Generator:
+        """Presumed-abort 2PC over the pieces ``_farm_out`` started, or
+        a plain 1PC commit for a local transaction; either way the
+        commit phase is measured for the 1PC-vs-2PC ablation."""
+        cluster = self.cluster
+        env = self.env
+        commit_from = env.now
+        pieces = getattr(tx, "pieces", ())
+        if not pieces:
+            yield from super()._commit(tx, tracer)
+            self.metrics.record_cluster_commit(False, env.now - commit_from)
+            return True
+        # Phase 1: PREPARE every participant, collect votes.
+        for piece in pieces:
+            remote = cluster.nodes[piece.node_id]
+            yield from cluster.bus.one_way(
+                tx, self.cpu, remote.cpu, kind="2pc_prepare")
+            if not piece.prepare_req.triggered:
+                piece.prepare_req.succeed()
+        votes = []
+        for piece in pieces:
+            votes.append((yield piece.vote))
+        if tracer is not None and env.now > commit_from:
+            tracer.span("2pc.prepare", tx.tx_id, commit_from, env.now)
+        if not all(vote == "yes" for vote in votes):
+            return False
+        # Phase 2: force the decision record through the home log
+        # device, mirror it into GEM, then notify the participants.
+        t0 = env.now
+        yield from self.bm.commit(tx)
+        if tracer is not None and env.now > t0:
+            tracer.span("2pc.decision", tx.tx_id, t0, env.now)
+        cluster.record_decision(tx.tx_id)
+        t0 = env.now
+        for piece in pieces:
+            remote = cluster.nodes[piece.node_id]
+            yield from cluster.bus.one_way(
+                tx, self.cpu, remote.cpu, kind="2pc_commit")
+            if not piece.decision.triggered:
+                piece.decision.succeed("commit")
+        if tracer is not None and env.now > t0:
+            tracer.span("2pc.notify", tx.tx_id, t0, env.now)
+        cluster.clear_pieces(tx)
+        self.metrics.record_cluster_commit(True, env.now - commit_from)
+        return True
+
+    def _abort(self, tx: Transaction) -> None:
+        """Presumed abort needs no abort record: just tell the live
+        participants before the home locks go."""
+        for piece in getattr(tx, "pieces", ()):
+            if not piece.decision.triggered:
+                piece.decision.succeed("abort")
+        self.cluster.clear_pieces(tx)

@@ -57,9 +57,7 @@ class TransactionManager:
             for part in self.partitions
         ]
         #: Span sink (:class:`repro.trace.Tracer`) when the run enabled
-        #: tracing; ``None`` keeps the hot path free of per-event
-        #: branching (the traced twin of ``_execute`` is selected once
-        #: per transaction).
+        #: tracing; ``_execute`` reads it once per transaction.
         self.tracer = None
         self.mpl_slots = Resource(env, self.cm.mpl, name="mpl")
         self.active = 0
@@ -185,143 +183,56 @@ class TransactionManager:
             self._lifecycles.pop(tx.tx_id, None)
 
     # -- execution ------------------------------------------------------
-    # Every execute loop (these two, the cluster coordinator and branch,
-    # the data-sharing node) locks a reference the same way: the lock
-    # id comes from ``_lock_plan``, ``LockManager.try_acquire`` grants
-    # without a generator, and only a refused request enters the
-    # ``acquire`` generator to wait (or to learn it is the deadlock
-    # victim).
+    # The one transaction lifecycle.  Commit variants (the cluster's
+    # presumed-abort 2PC, data sharing's GEM propagation) override the
+    # three hooks below it: ``_farm_out`` before the first reference,
+    # ``_commit`` after EOT and ``_abort`` before the restart.
+    #
+    # Tracing is chosen once per transaction: with ``tracer`` None each
+    # time-advancing segment costs one test.  Otherwise it is wrapped
+    # in exactly one phase span ("cpu.bot", "lock" — emitted by the
+    # lock manager —, "cpu.ref", "fix", "cpu.eot", the commit hook's
+    # spans, "backoff"), and the input queue is covered by the
+    # lifecycle's "queue" span, so for a committed transaction the
+    # phase spans tile the whole arrival-to-commit interval: the
+    # attribution table sums to the measured response time by
+    # construction.  Span names are the literals from
+    # :data:`repro.trace.tracer.PHASE_SPANS` (no import: core must not
+    # depend on the observability package).
     def _execute(self, tx: Transaction) -> Generator:
-        if tx.traced and self.tracer is not None:
-            # One dispatch per transaction; the untraced loop below
-            # stays exactly as it always was (zero-overhead invariant).
-            yield from self._execute_traced(tx)
-            return
-        locks = self.locks
-        try_lock = locks.try_acquire
-        lock_plan = self._lock_plan
-        X, S = LockMode.X, LockMode.S
-        while True:
-            tx.start_time = self.env.now
-            burst = self.cpu.execute_event(tx, self.cm.instr_bot)
-            if burst is not None:
-                yield burst
-            aborted = False
-            for ref in tx.refs:
-                pidx = ref.partition_index
-                page_level = lock_plan[pidx]
-                if page_level is not None:
-                    lock_id = ((pidx, 0, ref.page_no) if page_level
-                               else (pidx, 1, ref.object_no))
-                    mode = X if ref.is_write else S
-                    if not try_lock(tx, lock_id, mode):
-                        outcome = yield from locks.acquire(tx, lock_id, mode)
-                        if outcome is LockOutcome.DEADLOCK:
-                            aborted = True
-                            break
-                burst = self.cpu.execute_event(tx, self.cm.instr_or)
-                if burst is not None:
-                    yield burst
-                # Hot path: a buffer hit costs no simulated time, so it
-                # is a plain call — only misses enter the generator.
-                if self.bm.fix_page_fast(tx, ref) is None:
-                    yield from self.bm.fix_page_miss(tx, ref)
-            if not aborted:
-                burst = self.cpu.execute_event(tx, self.cm.instr_eot)
-                if burst is not None:
-                    yield burst
-                # Commit phase 1: log + (FORCE) forced page writes.
-                yield from self.bm.commit(tx)
-                # Commit phase 2: release locks.
-                self.locks.release_all(tx)
-                self.metrics.record_commit(
-                    tx, self.env.now - tx.arrival_time
-                )
-                return
-            # Deadlock abort: back out and retry with the same
-            # reference string.  A small randomized backoff breaks the
-            # livelock where two transactions keep re-colliding in
-            # lockstep (the paper is silent on restart timing).
-            self.locks.release_all(tx)
-            self.metrics.record_abort(tx)
-            tx.reset_for_restart()
-            if self.streams is not None:
-                backoff = self.streams.exponential(
-                    "restart-backoff", 0.002 * min(tx.restarts, 5)
-                )
-                if backoff > 0:
-                    yield self.env.timeout(backoff)
-
-    def _execute_traced(self, tx: Transaction) -> Generator:
-        """Span-emitting twin of :meth:`_execute` — keep in lockstep.
-
-        Duplicated rather than branched-per-event so enabling tracing
-        cannot slow the untraced path.  Every time-advancing segment is
-        wrapped in exactly one phase span ("cpu.bot", "lock" — emitted
-        by the lock manager —, "cpu.ref", "fix", "cpu.eot", "commit",
-        "backoff"), and the input queue is covered by the lifecycle's
-        "queue" span, so for a committed transaction the phase spans
-        tile the whole arrival-to-commit interval: the attribution
-        table sums to the measured response time by construction.
-        Span names are the literals from
-        :data:`repro.trace.tracer.PHASE_SPANS` (no import: core must
-        not depend on the observability package).
-        """
-        tracer = self.tracer
         env = self.env
-        locks = self.locks
-        try_lock = locks.try_acquire
-        lock_plan = self._lock_plan
-        X, S = LockMode.X, LockMode.S
+        execute = self.cpu.execute_event
+        cm = self.cm
+        tracer = self.tracer if tx.traced else None
         while True:
-            tx.start_time = env.now
-            t0 = env.now
-            burst = self.cpu.execute_event(tx, self.cm.instr_bot)
+            tx.start_time = t0 = env._now
+            burst = execute(tx, cm.instr_bot)
             if burst is not None:
                 yield burst
-                if env.now > t0:
-                    tracer.span("cpu.bot", tx.tx_id, t0, env.now)
-            aborted = False
-            for ref in tx.refs:
-                pidx = ref.partition_index
-                page_level = lock_plan[pidx]
-                if page_level is not None:
-                    lock_id = ((pidx, 0, ref.page_no) if page_level
-                               else (pidx, 1, ref.object_no))
-                    mode = X if ref.is_write else S
-                    if not try_lock(tx, lock_id, mode):
-                        outcome = yield from locks.acquire(tx, lock_id, mode)
-                        if outcome is LockOutcome.DEADLOCK:
-                            aborted = True
-                            break
-                t0 = env.now
-                burst = self.cpu.execute_event(tx, self.cm.instr_or)
+                if tracer is not None and env._now > t0:
+                    tracer.span("cpu.bot", tx.tx_id, t0, env._now)
+            if (yield from self._farm_out(tx, tracer)) and \
+                    (yield from self._run_refs(tx, tracer)):
+                t0 = env._now
+                burst = execute(tx, cm.instr_eot)
                 if burst is not None:
                     yield burst
-                    if env.now > t0:
-                        tracer.span("cpu.ref", tx.tx_id, t0, env.now)
-                if self.bm.fix_page_fast(tx, ref) is None:
-                    t0 = env.now
-                    yield from self.bm.fix_page_miss(tx, ref)
-                    if env.now > t0:
-                        tracer.span("fix", tx.tx_id, t0, env.now)
-            if not aborted:
-                t0 = env.now
-                burst = self.cpu.execute_event(tx, self.cm.instr_eot)
-                if burst is not None:
-                    yield burst
-                    if env.now > t0:
-                        tracer.span("cpu.eot", tx.tx_id, t0, env.now)
-                t0 = env.now
-                yield from self.bm.commit(tx)
-                if env.now > t0:
-                    tracer.span("commit", tx.tx_id, t0, env.now)
-                self.locks.release_all(tx)
-                self.metrics.record_commit(
-                    tx, self.env.now - tx.arrival_time
-                )
-                tracer.span("tx", tx.tx_id, tx.arrival_time, env.now)
-                return
+                    if tracer is not None and env._now > t0:
+                        tracer.span("cpu.eot", tx.tx_id, t0, env._now)
+                if (yield from self._commit(tx, tracer)):
+                    # Commit phase 2: release locks.
+                    self.locks.release_all(tx)
+                    self.metrics.record_commit(
+                        tx, env._now - tx.arrival_time)
+                    if tracer is not None:
+                        tracer.span("tx", tx.tx_id, tx.arrival_time,
+                                    env._now)
+                    return
+            # Abort: back out and retry with the same reference string.
+            # A small randomized backoff breaks the livelock where two
+            # transactions keep re-colliding in lockstep (the paper is
+            # silent on restart timing).
+            self._abort(tx)
             self.locks.release_all(tx)
             self.metrics.record_abort(tx)
             tx.reset_for_restart()
@@ -330,6 +241,69 @@ class TransactionManager:
                     "restart-backoff", 0.002 * min(tx.restarts, 5)
                 )
                 if backoff > 0:
-                    t0 = env.now
-                    yield self.env.timeout(backoff)
-                    tracer.span("backoff", tx.tx_id, t0, env.now)
+                    t0 = env._now
+                    yield env.timeout(backoff)
+                    if tracer is not None:
+                        tracer.span("backoff", tx.tx_id, t0, env._now)
+
+    def _run_refs(self, tx: Transaction, tracer) -> Generator:
+        """Lock, charge and fix each of ``tx.refs`` in order; returns
+        False as soon as deadlock detection picks ``tx`` as victim.
+
+        The one per-reference loop (cluster participants run their
+        branch through it too).  The lock id comes from ``_lock_plan``,
+        ``try_acquire`` grants without a generator, and only a refused
+        request enters the ``acquire`` generator to wait (or to learn
+        it is the deadlock victim).  A buffer hit costs no simulated
+        time, so it is a plain call — only misses enter the generator.
+        """
+        env = self.env
+        execute = self.cpu.execute_event
+        instr_or = self.cm.instr_or
+        bm = self.bm
+        locks = self.locks
+        try_lock = locks.try_acquire
+        lock_plan = self._lock_plan
+        X, S = LockMode.X, LockMode.S
+        for ref in tx.refs:
+            pidx = ref.partition_index
+            page_level = lock_plan[pidx]
+            if page_level is not None:
+                lock_id = ((pidx, 0, ref.page_no) if page_level
+                           else (pidx, 1, ref.object_no))
+                mode = X if ref.is_write else S
+                if not try_lock(tx, lock_id, mode):
+                    outcome = yield from locks.acquire(tx, lock_id, mode)
+                    if outcome is LockOutcome.DEADLOCK:
+                        return False
+            t0 = env._now
+            burst = execute(tx, instr_or)
+            if burst is not None:
+                yield burst
+                if tracer is not None and env._now > t0:
+                    tracer.span("cpu.ref", tx.tx_id, t0, env._now)
+            if bm.fix_page_fast(tx, ref) is None:
+                t0 = env._now
+                yield from bm.fix_page_miss(tx, ref)
+                if tracer is not None and env._now > t0:
+                    tracer.span("fix", tx.tx_id, t0, env._now)
+        return True
+
+    # -- commit-variant hooks ---------------------------------------------
+    def _farm_out(self, tx: Transaction, tracer) -> Generator:
+        """Work done before the first reference; False aborts the
+        attempt.  A local transaction has none."""
+        return True
+        yield  # unreachable: makes this a generator
+
+    def _commit(self, tx: Transaction, tracer) -> Generator:
+        """Commit phase 1 — log and (FORCE) forced page writes; returns
+        whether the transaction committed."""
+        t0 = self.env._now
+        yield from self.bm.commit(tx)
+        if tracer is not None and self.env._now > t0:
+            tracer.span("commit", tx.tx_id, t0, self.env._now)
+        return True
+
+    def _abort(self, tx: Transaction) -> None:
+        """Called on every abort, before the locks are released."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
 from repro.core.bm import BufferManager
-from repro.core.cc import LockManager, LockMode, LockOutcome
+from repro.core.cc import LockManager, LockMode
 from repro.core.config import SystemConfig
 from repro.core.cpu import CPUPool
 from repro.core.metrics import (
@@ -246,53 +246,14 @@ class _DistributedTM(TransactionManager):
         self.node_id = node_id
         self.system = system
 
-    def _execute(self, tx: Transaction) -> Generator:
-        # Identical control flow to the central TM, plus commit-time
-        # GEM propagation and the invalidation broadcast (phase 1.5).
-        locks = self.locks
-        lock_plan = self._lock_plan
-        while True:
-            tx.start_time = self.env.now
-            burst = self.cpu.execute_event(tx, self.cm.instr_bot)
-            if burst is not None:
-                yield burst
-            aborted = False
-            for ref in tx.refs:
-                pidx = ref.partition_index
-                page_level = lock_plan[pidx]
-                if page_level is not None:
-                    lock_id = ((pidx, 0, ref.page_no) if page_level
-                               else (pidx, 1, ref.object_no))
-                    mode = LockMode.X if ref.is_write else LockMode.S
-                    if not locks.try_acquire(tx, lock_id, mode):
-                        outcome = yield from locks.acquire(tx, lock_id, mode)
-                        if outcome is LockOutcome.DEADLOCK:
-                            aborted = True
-                            break
-                burst = self.cpu.execute_event(tx, self.cm.instr_or)
-                if burst is not None:
-                    yield burst
-                # Hot path: buffer hits complete synchronously (see the
-                # central TM); only misses enter the generator.
-                if self.bm.fix_page_fast(tx, ref) is None:
-                    yield from self.bm.fix_page_miss(tx, ref)
-            if not aborted:
-                burst = self.cpu.execute_event(tx, self.cm.instr_eot)
-                if burst is not None:
-                    yield burst
-                yield from self.bm.commit(tx)
-                yield from self.bm.propagate_commit(tx)
-                if tx.modified_pages:
-                    yield from self.system.broadcast_invalidation(
-                        tx, self.node_id
-                    )
-                self.locks.release_all(tx)
-                self.metrics.record_commit(tx,
-                                           self.env.now - tx.arrival_time)
-                return
-            self.locks.release_all(tx)
-            self.metrics.record_abort(tx)
-            tx.reset_for_restart()
+    def _commit(self, tx: Transaction, tracer) -> Generator:
+        # Phase 1.5: GEM update propagation and the invalidation
+        # broadcast, before the locks are released.
+        yield from super()._commit(tx, tracer)
+        yield from self.bm.propagate_commit(tx)
+        if tx.modified_pages:
+            yield from self.system.broadcast_invalidation(tx, self.node_id)
+        return True
 
 
 class _Router:

@@ -21,6 +21,7 @@ per transaction — loadable directly in https://ui.perfetto.dev.
 from __future__ import annotations
 
 import json
+import os
 from typing import Dict, Iterable, List, Optional
 
 __all__ = [
@@ -75,7 +76,9 @@ def write_trace(path: str, header: Dict, points: Iterable[Dict]) -> int:
 
     ``points`` yields dicts with the point metadata plus a ``spans``
     list of tracer tuples (the metadata keys land in the point record).
+    Missing parent directories are created.
     """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     written = 0
     with open(path, "w", encoding="utf-8") as fh:
         head = {"type": "header", "schema": SCHEMA}

@@ -1,9 +1,10 @@
 """Tests for the sharded multi-node cluster (repro.cluster).
 
 Covers the 2PC commit path end to end (local vs distributed commits,
-NVEM-vs-disk log placement), coordinator-crash failover through the
-GEM decision table, determinism, and the fingerprint contract that
-keeps the content-addressed point cache honest about cluster knobs.
+NVEM-vs-disk log placement), the abort path after a failed piece,
+coordinator-crash failover through the GEM decision table,
+determinism, and the fingerprint contract that keeps the
+content-addressed point cache honest about cluster knobs.
 """
 
 import pytest
@@ -152,6 +153,77 @@ class TestCoordinatorCrash:
         results, system = run_cluster()
         assert results.recovery is None
         assert all(n.checkpointer is None for n in system.nodes)
+
+
+class _Idle:
+    """Workload stand-in: the test submits its transactions by hand."""
+
+    def start(self, system):
+        pass
+
+
+class TestTwoPhaseAbort:
+    def test_failed_piece_aborts_every_piece_and_restarts(self):
+        """A participant piece that loses a deadlock on its node reports
+        ``work_done == "failed"``.  The coordinator then sends "abort"
+        to every piece (the sibling that finished its work too),
+        releases its locks on every node, drops the
+        pending registration and restarts with the same references;
+        the retry commits through 2PC."""
+        from repro.cluster.twopc import ClusterTransaction
+        from repro.core.transaction import ObjectRef, Transaction
+
+        config, _ = build_cluster(num_nodes=3)
+        system = config.build_system(_Idle(), seed=1)
+        attempts = []
+        register = system.register_pieces
+
+        def spy(tx, pieces):
+            attempts.append(list(pieces))
+            register(tx, pieces)
+
+        system.register_pieces = spy
+
+        def page(no):
+            return ObjectRef(1, no, no, True)
+
+        # The piece on node 1 locks page 10, reads three ACCOUNT pages,
+        # then wants page 20; node 1's local transaction holds 20 and
+        # waits for 10 long before that, so the piece closes the cycle
+        # and is the (requester) victim.
+        piece_refs = (page(10), ObjectRef(0, 1, 1, True),
+                      ObjectRef(0, 2, 2, True), ObjectRef(0, 3, 3, True),
+                      page(20))
+        home_refs = [page(30)]
+        sibling_refs = (page(40),)
+        remote_work = [(1, piece_refs), (2, sibling_refs)]
+        coordinator = ClusterTransaction(1, "t", list(home_refs), 0,
+                                         remote_work)
+        local = Transaction(2, "t", [page(20), page(10)])
+        system.nodes[0].tm.submit(coordinator)
+        system.nodes[1].tm.submit(local)
+        system.env.run()
+
+        assert len(attempts) == 2
+        failed, retried = attempts
+        assert [p.work_done.value for p in failed] == ["failed", "ok"]
+        assert [p.decision.value for p in failed] == ["abort", "abort"]
+        assert [p.decision.value for p in retried] == ["commit", "commit"]
+        assert [(p.node_id, p.refs) for p in retried] == \
+            [(p.node_id, p.refs) for p in failed] == remote_work
+        assert coordinator.refs == home_refs
+        assert coordinator.restarts == 1
+        for node in system.nodes:
+            assert node.locks.held_count() == 0
+            assert node.locks.waiting_count() == 0
+        assert system._pending == {} and system.decisions == {}
+        metrics = system.metrics
+        assert metrics.committed == 2
+        assert metrics.distributed_commits == 1
+        in_flight = sum(node.tm.active for node in system.nodes)
+        terminal_aborts = metrics.aborted - metrics.restarts
+        assert system.tm.submitted == \
+            metrics.committed + terminal_aborts + in_flight
 
 
 class TestClusterFingerprint:

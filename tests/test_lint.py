@@ -6,6 +6,10 @@ annotation) that flake8/mypy would flag.  Neither tool is a dependency
 of this repo, so this AST-based check enforces the rule in the tier-1
 suite: any parameter whose default is ``None`` must have an
 ``Optional[...]``-style (or omitted) annotation.
+
+A second check keeps the transaction manager's execute loop single:
+one function runs the per-reference lock/fix loop and one the
+deadlock-restart loop, with every commit protocol as a hook on them.
 """
 
 import ast
@@ -61,3 +65,49 @@ def test_no_implicit_optional_annotations():
         "PEP 484 implicit-Optional defaults (annotate as "
         "Optional[...]):\n" + "\n".join(violations)
     )
+
+
+#: Modules that implement the per-reference primitives (or drive them
+#: in a standalone micro-benchmark) rather than run transactions.
+_LOOP_EXEMPT = {"core/bm.py", "core/cc.py", "bench.py"}
+
+
+def _callers(method: str):
+    """``module:function`` of every function under ``src/repro`` that
+    calls ``.<method>`` — or binds it for a later call — directly (not
+    from a nested function)."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        if module in _LOOP_EXEMPT:
+            continue
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(isinstance(node, ast.Attribute)
+                            and node.attr == method
+                            for stmt in func.body
+                            for node in _walk_same_function(stmt)):
+                found.append(f"{module}:{func.name}")
+    return found
+
+
+def _walk_same_function(node):
+    """``ast.walk`` that does not descend into nested functions."""
+    yield node
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.Lambda)):
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _walk_same_function(child)
+
+
+def test_one_transaction_execute_loop():
+    """The TM lifecycle (lock -> charge -> fix per reference, restart
+    on deadlock) is written once; commit variants are hooks on it, so
+    a second copy of either loop is a regression."""
+    ref_loops = _callers("fix_page_miss")
+    assert len(ref_loops) == 1, ref_loops
+    assert ref_loops == [f for f in _callers("try_acquire")
+                         if f in ref_loops], ref_loops
+    restart_loops = _callers("reset_for_restart")
+    assert len(restart_loops) == 1, restart_loops

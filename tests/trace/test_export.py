@@ -44,6 +44,12 @@ class TestJsonlRoundTrip:
         # System spans serialize tx as null.
         assert spans[1][0]["tx"] is None
 
+    def test_missing_output_directory_is_created(self, tmp_path):
+        path = str(tmp_path / "artifacts" / "t.jsonl")
+        assert write_trace(path, dict(HEADER), []) == 0
+        header, points, _ = read_trace(path, validate=True)
+        assert header["experiment"] == "fig_x" and points == []
+
     def test_every_line_is_valid_json(self, tmp_path):
         path, _ = _write(tmp_path)
         with open(path) as fh:
