@@ -5,22 +5,18 @@ the extension its conclusions describe: node scaling with a global
 extended memory and NVEM vs LAN coupling.
 """
 
-from repro.distributed import (
-    CouplingConfig,
-    DistributedConfig,
-    DistributedSystem,
-)
+from repro.cluster import ClusterConfig, CouplingConfig
+from repro.cluster.system import ClusterSystem
 from repro.experiments.defaults import debit_credit_config, disk_only
 from repro.workload.debit_credit import DebitCreditWorkload
 
 
 def run_point(nodes, gem, coupling):
-    config = debit_credit_config(disk_only())
-    dconfig = DistributedConfig(num_nodes=nodes, gem_capacity=gem,
-                                coupling=coupling)
-    system = DistributedSystem(
-        config, dconfig,
-        DebitCreditWorkload(arrival_rate=300.0 * nodes), seed=5,
+    config = ClusterConfig(node=debit_credit_config(disk_only()),
+                           num_nodes=nodes, data_sharing=True,
+                           gem_capacity=gem, coupling=coupling)
+    system = ClusterSystem(
+        config, DebitCreditWorkload(arrival_rate=300.0 * nodes), seed=5,
     )
     return system.run(warmup=2.0, duration=4.0)
 

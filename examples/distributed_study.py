@@ -15,11 +15,8 @@ Run with::
 """
 
 from repro import DebitCreditWorkload
-from repro.distributed import (
-    CouplingConfig,
-    DistributedConfig,
-    DistributedSystem,
-)
+from repro.cluster import ClusterConfig, CouplingConfig
+from repro.cluster.system import ClusterSystem
 from repro.experiments.defaults import debit_credit_config, disk_only
 
 RATE_PER_NODE = 350.0
@@ -32,12 +29,12 @@ def measure(nodes, gem, coupling):
     for unit in scheme.disk_units:
         unit.num_disks *= nodes
         unit.num_controllers *= nodes
-    config = debit_credit_config(scheme)
-    dconfig = DistributedConfig(num_nodes=nodes, gem_capacity=gem,
-                                coupling=coupling)
+    config = ClusterConfig(node=debit_credit_config(scheme),
+                           num_nodes=nodes, data_sharing=True,
+                           gem_capacity=gem, coupling=coupling)
     rate = RATE_PER_NODE * nodes
-    system = DistributedSystem(
-        config, dconfig, DebitCreditWorkload(arrival_rate=rate), seed=5
+    system = ClusterSystem(
+        config, DebitCreditWorkload(arrival_rate=rate), seed=5
     )
     results = system.run(warmup=3.0, duration=6.0)
     msgs = system.message_stats().get("messages", 0)

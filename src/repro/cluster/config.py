@@ -1,15 +1,23 @@
-"""Configuration of a sharded multi-node transaction cluster.
+"""Configuration of a multi-node transaction cluster.
 
-A cluster is ``num_nodes`` identical computing modules, each running
-the full single-node TPSIM stack (own CPUs, buffer, lock table, log
-and device registry) over its *own shard* of the Debit-Credit
-database: ``branches_per_node`` branches with their tellers, accounts
-and history per node.  Cross-node transactions (a home branch on one
-node updating an account on another) commit through presumed-abort
-two-phase commit, with prepare/decision log records forced through
-each node's real log device — so NVEM-vs-disk log placement moves
-commit latency exactly as in the paper's §4, just twice per
-distributed commit.
+A cluster is ``num_nodes`` identical computing modules coupled one of
+two ways:
+
+* **shared nothing** (the default): each node runs the full
+  single-node TPSIM stack (own CPUs, buffer, lock table, log and
+  device registry) over its *own shard* of the Debit-Credit database:
+  ``branches_per_node`` branches with their tellers, accounts and
+  history per node.  Cross-node transactions (a home branch on one
+  node updating an account on another) commit through presumed-abort
+  two-phase commit, with prepare/decision log records forced through
+  each node's real log device — so NVEM-vs-disk log placement moves
+  commit latency exactly as in the paper's §4, just twice per
+  distributed commit.
+* **data sharing** (``data_sharing=True``): every node runs its own
+  CPUs, buffer and TM over one shared storage subsystem built from the
+  ``node`` template, which then describes the whole database; node 0
+  hosts the lock table and ``gem_capacity`` sizes the optional global
+  extended memory (:mod:`repro.cluster.sharing`).
 
 :class:`ClusterConfig` is a plain dataclass, so the content-addressed
 point cache fingerprints it field-by-field: changing ``num_nodes``
@@ -21,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.cluster.messages import CouplingConfig
 from repro.core.config import (
     LogAllocation,
     NVEM,
@@ -28,7 +37,6 @@ from repro.core.config import (
     SystemConfig,
     UpdateStrategy,
 )
-from repro.distributed.messages import CouplingConfig
 from repro.experiments.defaults import (
     StorageScheme,
     db_disk_unit,
@@ -57,7 +65,8 @@ class ClusterConfig:
     """Complete description of one simulated cluster."""
 
     #: Per-node system template; every node is built from this config
-    #: (own storage, CPUs, buffer and lock table per node).
+    #: (own storage, CPUs, buffer and lock table per node; under data
+    #: sharing, the one shared storage holding the whole database).
     node: SystemConfig = field(default_factory=SystemConfig)
     num_nodes: int = 2
     #: Shard geometry (must match the template's partition sizes).
@@ -67,6 +76,12 @@ class ClusterConfig:
     #: Inter-node message costs (send/receive CPU + wire latency).
     coupling: CouplingConfig = field(
         default_factory=CouplingConfig.nvem_coupling)
+    #: Couple the nodes by data sharing over one shared storage
+    #: subsystem instead of by sharding (shared nothing + 2PC).
+    data_sharing: bool = False
+    #: Shared GEM page cache capacity in pages under data sharing
+    #: (0: no GEM).
+    gem_capacity: int = 0
     #: Delay before GEM-mirrored commit decisions resolve the in-doubt
     #: participants of a crashed coordinator (failure detection plus
     #: GEM lookup; [Ra91]'s availability argument for global memory).
@@ -94,8 +109,33 @@ class ClusterConfig:
             raise ValueError("checkpoint_interval must be positive")
         if self.node_price < 0:
             raise ValueError("node_price must be >= 0")
+        if self.gem_capacity < 0:
+            raise ValueError("gem_capacity must be >= 0")
+        if self.gem_capacity and not self.data_sharing:
+            raise ValueError("gem_capacity needs data_sharing=True: a "
+                             "shared-nothing cluster has no shared "
+                             "page cache")
+        # The cluster wires its own crash handling (crash_schedule) and
+        # has no media-failure model: reject the node template's
+        # single-system settings instead of silently ignoring them.
+        if self.node.recovery.enabled:
+            raise ValueError("node.recovery.enabled is not supported in "
+                             "a cluster: schedule node crashes with "
+                             "ClusterConfig.crash_schedule")
+        if self.node.media.enabled:
+            raise ValueError("node.media.enabled is not supported in a "
+                             "cluster: no multi-node system models "
+                             "media failures")
         self.coupling.validate()
         self.node.validate()
+        if self.data_sharing:
+            # The node template is the whole shared database, so there
+            # is no shard geometry to check.
+            if self.crash_schedule:
+                raise ValueError("crash_schedule needs a shared-nothing "
+                                 "cluster: data sharing has no "
+                                 "shared-disk crash model")
+            return
         account = self.node.partition("ACCOUNT")
         expected = self.branches_per_node * self.accounts_per_branch
         if account.num_objects != expected:

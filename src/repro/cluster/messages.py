@@ -1,4 +1,4 @@
-"""Inter-node communication for the distributed extension.
+"""Inter-node messages of the multi-node cluster.
 
 A message costs CPU instructions on the sender and the receiver plus a
 coupling latency.  Two presets reflect [Ra91]'s argument:

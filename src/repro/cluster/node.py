@@ -1,11 +1,18 @@
 """One computing module of the cluster.
 
-A node is a complete single-node TPSIM stack — its own device
-registry, CPU complex, lock table, buffer and transaction manager —
-sharing only the simulation clock, the random streams and the metrics
-collector with its siblings.  This is the paper's *shared-nothing*
-node model: the sole inter-node channels are the message bus and the
-GEM-mirrored commit decisions.
+A node has its own CPU complex, buffer and transaction manager; which
+storage and lock table it uses is the cluster's coupling, chosen once
+here when the node is built:
+
+* **shared nothing** (the default): a complete single-node TPSIM stack
+  — its own device registry, lock table, buffer and 2PC transaction
+  manager — sharing only the simulation clock, the random streams and
+  the metrics collector with its siblings.  The sole inter-node
+  channels are the message bus and the GEM-mirrored commit decisions.
+* **data sharing** (``ClusterConfig.data_sharing``): the cluster's one
+  storage subsystem, a view of node 0's lock table, a GEM-aware buffer
+  and a TM that propagates commits to GEM and broadcasts invalidations
+  (:mod:`repro.cluster.sharing`).
 
 The node duck-types :class:`~repro.core.model.TransactionSystem`
 closely enough (``env`` / ``config`` / ``cpu`` / ``storage`` / ``bm``
@@ -16,6 +23,11 @@ reuses the exact machinery of the central case.
 
 from __future__ import annotations
 
+from repro.cluster.sharing import (
+    CentralLocks,
+    DataSharingTM,
+    GEMBufferManager,
+)
 from repro.cluster.twopc import ClusterTransactionManager
 from repro.core.bm import BufferManager
 from repro.core.cc import LockManager
@@ -38,12 +50,23 @@ class ClusterNode:
         self.config = cluster.config.node
         self.metrics = cluster.metrics
         self.streams = cluster.streams
-        self.storage = StorageSubsystem(self.env, self.streams, self.config)
-        self.cpu = CPUPool(self.env, self.streams, self.config.cm)
-        self.locks = LockManager(self.env, self.metrics)
-        self.bm = BufferManager(self.env, self.streams, self.config,
-                                self.cpu, self.storage, self.metrics)
-        self.tm = ClusterTransactionManager(self, cluster)
+        if cluster.config.data_sharing:
+            self.storage = cluster.storage
+            self.cpu = CPUPool(self.env, self.streams, self.config.cm)
+            self.bm = GEMBufferManager(
+                self.env, self.streams, self.config, self.cpu,
+                self.storage, self.metrics, gem=cluster.gem,
+                invalidations=cluster.invalidation_stats)
+            self.locks = CentralLocks(self, cluster)
+            self.tm = DataSharingTM(self, cluster)
+        else:
+            self.storage = StorageSubsystem(self.env, self.streams,
+                                            self.config)
+            self.cpu = CPUPool(self.env, self.streams, self.config.cm)
+            self.locks = LockManager(self.env, self.metrics)
+            self.bm = BufferManager(self.env, self.streams, self.config,
+                                    self.cpu, self.storage, self.metrics)
+            self.tm = ClusterTransactionManager(self, cluster)
         #: Node-tagged view of the cluster's shared tracer (``None``
         #: when tracing is off).  The restart replayer reads it off the
         #: node through the same duck-typed surface as the central case.

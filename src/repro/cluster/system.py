@@ -1,24 +1,27 @@
-"""The sharded cluster: N shared-nothing nodes plus 2PC glue.
+"""The multi-node system: N nodes, shared nothing or data sharing.
 
-:class:`ClusterSystem` wires ``num_nodes`` complete per-node stacks
+:class:`ClusterSystem` wires ``num_nodes`` per-node stacks
 (:class:`~repro.cluster.node.ClusterNode`) onto one simulation
-environment, routes every transaction to the home node of its branch,
-and holds the little shared state two-phase commit needs:
+environment and routes every transaction to its home node (round-robin
+for a transaction without one, as every central workload makes).  It
+holds the state the nodes share: the **message bus** (send/receive CPU
+bursts + wire latency, :class:`~repro.cluster.messages.MessageBus`),
+and per coupling:
 
-* the **message bus** (send/receive CPU bursts + wire latency, the
-  same :class:`~repro.distributed.messages.MessageBus` the shared-disk
-  system uses),
-* the **GEM decision table** — commit decisions mirrored into global
-  extended memory at decision-force time, which is what lets a
-  survivor resolve a crashed coordinator's in-doubt participants
-  (presumed abort for everything not in the table),
-* the **pending-piece registry** the GEM failover walks.
+* **shared nothing** (2PC): the **GEM decision table** — commit
+  decisions mirrored into global extended memory at decision-force
+  time, which is what lets a survivor resolve a crashed coordinator's
+  in-doubt participants (presumed abort for everything not in the
+  table) — and the **pending-piece registry** the GEM failover walks;
+* **data sharing**: the one storage subsystem, the lock table (on node
+  0), the optional GEM page cache and the invalidation counters.
 
 The public surface mirrors
 :class:`~repro.core.model.TransactionSystem` (``run`` / ``snapshot`` /
 ``tm.submit``), so the experiment runner and exporters treat a cluster
-point exactly like a central one — plus a populated ``cluster`` block
-in its Results (nodes, $ cost, 2PC counters).
+point exactly like a central one — plus, when shared nothing, a
+populated ``cluster`` block in its Results (nodes, $ cost, 2PC
+counters).
 """
 
 from __future__ import annotations
@@ -29,14 +32,18 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.config import ClusterConfig
 from repro.cluster.cost import cluster_cost
 from repro.cluster.faults import ClusterFaultInjector
+from repro.cluster.messages import MessageBus
 from repro.cluster.node import ClusterNode
 from repro.cluster.partition import PartitionMap
-from repro.cluster.runloop import measured_run
+from repro.cluster.sharing import GlobalExtendedMemory
 from repro.cluster.twopc import RemotePiece
+from repro.core.cc import LockManager
 from repro.core.metrics import MetricsCollector, Results
+from repro.core.model import measured_run
 from repro.core.transaction import Transaction
-from repro.distributed.messages import MessageBus
 from repro.sim import Environment, RandomStreams
+from repro.sim.stats import CategoryCounter
+from repro.storage.hierarchy import StorageSubsystem
 
 __all__ = ["ClusterNodeResults", "ClusterRouter", "ClusterSystem"]
 
@@ -51,14 +58,22 @@ class ClusterNodeResults:
 
 
 class ClusterRouter:
-    """The system's ``tm``: submits to the home node, aggregates queues."""
+    """The system's ``tm``: submits to the home node, aggregates queues.
+
+    A transaction without a home node (any central workload's) goes to
+    the nodes round-robin."""
 
     def __init__(self, system: "ClusterSystem"):
         self.system = system
+        self._next = 0
 
     def submit(self, tx: Transaction) -> None:
-        home = getattr(tx, "home_node", 0)
-        self.system.nodes[home].tm.submit(tx)
+        nodes = self.system.nodes
+        home = getattr(tx, "home_node", None)
+        if home is None:
+            home = self._next
+            self._next = (home + 1) % len(nodes)
+        nodes[home].tm.submit(tx)
 
     @property
     def input_queue_length(self) -> int:
@@ -73,7 +88,8 @@ class ClusterRouter:
 
 
 class ClusterSystem:
-    """N-node shared-nothing cluster with presumed-abort 2PC."""
+    """N-node cluster: shared nothing with presumed-abort 2PC, or data
+    sharing with central locking and GEM."""
 
     def __init__(self, config: ClusterConfig, workload,
                  seed: Optional[int] = None):
@@ -83,11 +99,26 @@ class ClusterSystem:
         self.streams = RandomStreams(seed if seed is not None
                                      else config.seed)
         self.metrics = MetricsCollector(self.env)
-        self.metrics.cluster_enabled = True
-        self.metrics.cluster_nodes = config.num_nodes
-        self.metrics.cluster_cost = cluster_cost(config)
         self.partition_map = PartitionMap(config.num_nodes)
         self.bus = MessageBus(self.env, config.coupling)
+        #: Data-sharing state (``None`` when shared nothing): the one
+        #: storage subsystem, the lock table node 0 hosts and the
+        #: optional GEM page cache.
+        self.storage = self.locks = self.gem = None
+        self.invalidation_stats = CategoryCounter()
+        if config.data_sharing:
+            self.storage = StorageSubsystem(self.env, self.streams,
+                                            config.node)
+            if config.gem_capacity > 0:
+                self.gem = GlobalExtendedMemory(
+                    self.env, self.storage.nvem_device,
+                    config.gem_capacity)
+            self.locks = LockManager(self.env, self.metrics)
+        else:
+            # Results carry the cluster block (nodes, $ cost, 2PC).
+            self.metrics.cluster_enabled = True
+            self.metrics.cluster_nodes = config.num_nodes
+            self.metrics.cluster_cost = cluster_cost(config)
         # Observability rides on the node template's TraceConfig.  The
         # tracer must exist before the nodes: each node wires a
         # per-node view (shared span buffer, node-tagged) into its own
@@ -108,6 +139,19 @@ class ClusterSystem:
         self.nodes: List[ClusterNode] = [
             ClusterNode(i, self) for i in range(config.num_nodes)
         ]
+        #: The distinct storage subsystems and lock tables, each storage
+        #: with the prefix its device names carry in reports.
+        if config.data_sharing:
+            self.storages = [("", self.storage)]
+            self.lock_tables = [self.locks]
+            # A central workload prewarms through ``system.bm``: node
+            # 0's buffer, which replays each reference into the others.
+            self.bm = self.nodes[0].bm
+            self.bm.peers = [node.bm for node in self.nodes[1:]]
+        else:
+            self.storages = [(f"n{node.node_id}:", node.storage)
+                             for node in self.nodes]
+            self.lock_tables = [node.locks for node in self.nodes]
         self.tm = ClusterRouter(self)
         if trace_cfg.telemetry_interval > 0:
             from repro.trace.telemetry import TelemetrySampler
@@ -180,8 +224,10 @@ class ClusterSystem:
         self.metrics.reset()
         for node in self.nodes:
             node.cpu.reset_stats()
-            node.storage.reset_stats()
+        for _, storage in self.storages:
+            storage.reset_stats()
         self.bus.stats.reset()
+        self.invalidation_stats.reset()
         self._node_completed_base = [node.tm.completed
                                      for node in self.nodes]
 
@@ -192,16 +238,18 @@ class ClusterSystem:
             default_queue_limit=4 * self.config.node.cm.mpl,
         )
 
+    def device_report(self) -> Dict[str, Dict[str, float]]:
+        """Utilization report of every device, by prefixed name."""
+        return {prefix + name: report
+                for prefix, storage in self.storages
+                for name, report in storage.utilization_report().items()}
+
     def snapshot(self) -> Results:
-        devices = {}
-        for node in self.nodes:
-            for name, report in node.storage.utilization_report().items():
-                devices[f"n{node.node_id}:{name}"] = report
         cpu_util = sum(n.cpu.utilization for n in self.nodes) / \
             len(self.nodes)
         return self.metrics.finalize(
             cpu_utilization=cpu_util,
-            device_utilization=devices,
+            device_utilization=self.device_report(),
         )
 
     def node_results(self) -> List[ClusterNodeResults]:

@@ -391,21 +391,6 @@ class BufferManager:
     # ------------------------------------------------------------------
     # Replacement
     # ------------------------------------------------------------------
-    def _make_room(self, tx: Transaction, exclude_key=None) -> Generator:
-        """Ensure at least one free main-memory frame.
-
-        Victims under eviction remain in the buffer until their
-        write-back/migration completes, so concurrent misses each start
-        their own eviction — which is exactly the paper's "every buffer
-        miss resulted in an additional I/O to write back the page to be
-        replaced" behaviour.
-        """
-        while len(self.mm) >= self.mm.capacity:
-            progressed = yield from self._evict_one(tx, exclude_key)
-            if not progressed:
-                self.eviction_stalls += 1
-                yield self.env.timeout(1e-5)
-
     def _evict_one(self, tx: Transaction, exclude_key=None) -> Generator:
         """Evict the LRU unfixed frame, migrating/writing as configured."""
         victim = self.mm.victim(

@@ -17,9 +17,9 @@ from:
   (sorted keys, minimal separators) and its SHA-256.
 * :func:`code_version_salt` — a digest over the source files of every
   package that determines a simulation trajectory (``sim``, ``core``,
-  ``storage``, ``workload``, ``recovery``, ``distributed``).  Any edit
-  to simulation code therefore invalidates all cached points, while
-  presentation-layer edits (CLI, exports, charts) do not.
+  ``storage``, ``workload``, ``recovery``, ``cluster``, ``trace``).
+  Any edit to simulation code therefore invalidates all cached points,
+  while presentation-layer edits (CLI, exports, charts) do not.
 * :func:`point_fingerprint` — the composite key of one sweep point.
 
 Determinism contract: the fingerprint never uses ``hash()``, ``id()``
@@ -58,7 +58,7 @@ POINT_SCHEMA_VERSION = 1
 #: deliberately absent: a point's result is fully determined by
 #: (config, workload, warmup, duration, seed) plus this code.
 _SALT_PACKAGES = ("sim", "core", "storage", "workload", "recovery",
-                  "distributed", "cluster", "trace")
+                  "cluster", "trace")
 
 
 class FingerprintError(TypeError):

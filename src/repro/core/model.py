@@ -11,6 +11,8 @@ A saturation guard samples the TM input queue during measurement: an
 open system driven beyond capacity grows its queue without bound; such
 runs are marked ``saturated`` (the paper simply does not plot those
 points, e.g. the single-log-disk curve in Fig. 4.1 ends near 200 TPS).
+That discipline is :func:`measured_run`, which the multi-node
+:class:`~repro.cluster.system.ClusterSystem` runs too.
 """
 
 from __future__ import annotations
@@ -26,7 +28,46 @@ from repro.core.tm import TransactionManager
 from repro.sim import Environment, RandomStreams
 from repro.storage.hierarchy import StorageSubsystem
 
-__all__ = ["TransactionSystem"]
+__all__ = ["TransactionSystem", "measured_run"]
+
+#: Queue samples per measurement window (one per slice).
+SLICES = 20
+
+
+def measured_run(system, warmup: float, duration: float,
+                 saturation_queue_limit: Optional[int],
+                 default_queue_limit: int) -> Results:
+    """The measurement discipline of every results-producing system.
+
+    Warm up, reset the collectors, then advance the clock in
+    :data:`SLICES` slices, sampling the input queue each slice.  Once
+    the queue exceeds ``saturation_queue_limit`` (default
+    ``default_queue_limit``) the run is flagged saturated and
+    measurement stops early: response times of a diverging open system
+    are unbounded anyway.  The host system supplies ``start_workload``
+    / ``_reset_measurements`` / ``snapshot`` plus an admission queue
+    via ``tm.input_queue_length``.
+    """
+    if warmup < 0 or duration <= 0:
+        raise ValueError("warmup must be >= 0 and duration > 0")
+    if saturation_queue_limit is None:
+        saturation_queue_limit = default_queue_limit
+    system.start_workload()
+    env = system.env
+    if warmup > 0:
+        env.run(until=env.now + warmup)
+    system._reset_measurements()
+
+    end_time = env.now + duration
+    slice_len = duration / SLICES
+    for _ in range(SLICES):
+        env.run(until=min(env.now + slice_len, end_time))
+        queue = system.tm.input_queue_length
+        system.metrics.note_input_queue(queue)
+        if queue > saturation_queue_limit:
+            system.metrics.saturated = True
+            break
+    return system.snapshot()
 
 
 class TransactionSystem:
@@ -111,51 +152,10 @@ class TransactionSystem:
 
     def run(self, warmup: float = 5.0, duration: float = 30.0,
             saturation_queue_limit: Optional[int] = None) -> Results:
-        """Warm up, measure, and summarize.
-
-        ``saturation_queue_limit`` caps the TM input queue; once the
-        queue exceeds it the run is flagged saturated and measurement
-        stops early (response times of a diverging open system are
-        unbounded anyway).  Defaults to ``4 * MPL``.
-        """
-        if warmup < 0 or duration <= 0:
-            raise ValueError("warmup must be >= 0 and duration > 0")
-        if saturation_queue_limit is None:
-            saturation_queue_limit = 4 * self.config.cm.mpl
-        self.start_workload()
-        if warmup > 0:
-            self.env.run(until=self.env.now + warmup)
-        self._reset_measurements()
-
-        end_time = self.env.now + duration
-        slices = 20
-        slice_len = duration / slices
-        for _ in range(slices):
-            self.env.run(until=min(self.env.now + slice_len, end_time))
-            queue = self.tm.input_queue_length
-            self.metrics.note_input_queue(queue)
-            if queue > saturation_queue_limit:
-                self.metrics.saturated = True
-                break
-        return self.snapshot()
-
-    def run_for_commits(self, commits: int, warmup_commits: int = 0,
-                        max_time: float = 3600.0) -> Results:
-        """Run until a number of committed transactions is reached.
-
-        Useful for low arrival rates where a fixed time window would
-        under-sample.  ``max_time`` bounds the simulated horizon.
-        """
-        self.start_workload()
-        deadline = self.env.now + max_time
-        if warmup_commits > 0:
-            while self.metrics.committed < warmup_commits and \
-                    self.env.now < deadline:
-                self.env.run(until=self.env.now + 1.0)
-        self._reset_measurements()
-        while self.metrics.committed < commits and self.env.now < deadline:
-            self.env.run(until=self.env.now + 1.0)
-        return self.snapshot()
+        """Warm up, measure, and summarize (see :func:`measured_run`);
+        ``saturation_queue_limit`` defaults to ``4 * MPL``."""
+        return measured_run(self, warmup, duration, saturation_queue_limit,
+                            default_queue_limit=4 * self.config.cm.mpl)
 
     def snapshot(self) -> Results:
         """Freeze current measurements into a Results record."""

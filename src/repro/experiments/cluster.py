@@ -34,7 +34,7 @@ from repro.experiments.api import (
 )
 from repro.experiments.runner import ExperimentResult
 
-__all__ = ["CLUSTER_TPS_PER_NODE", "scaling_summary", "twopc_summary"]
+__all__ = ["CLUSTER_TPS_PER_NODE"]
 
 #: Per-node arrival rate of the scaling experiment: total offered load
 #: grows linearly with the node count, so ideal scaling is a straight
@@ -76,19 +76,6 @@ def _scaling_curves() -> List[CurveSpec]:
         curve("15% distributed, NVEM log", "nvem", DISTRIBUTED_FRACTION),
         curve("15% distributed, disk log", "disk", DISTRIBUTED_FRACTION),
     ]
-
-
-def scaling_summary(result: ExperimentResult):
-    """{label: {nodes: (TPS, response ms, $/tps)}} for tests/reports."""
-    return {
-        series.label: {
-            point.x: (point.results.throughput,
-                      point.results.response_time_ms,
-                      point.results.dollars_per_tps)
-            for point in series.points
-        }
-        for series in result.series
-    }
 
 
 def _scaling_render(result: ExperimentResult) -> str:
@@ -150,19 +137,6 @@ def _twopc_curves() -> List[CurveSpec]:
         return CurveSpec(label=label, build=build)
 
     return [curve("NVEM log", "nvem"), curve("disk log", "disk")]
-
-
-def twopc_summary(result: ExperimentResult):
-    """{label: {fraction: (commit phase ms, in-doubt s, TPS)}}."""
-    return {
-        series.label: {
-            point.x: (point.results.commit_phase_ms,
-                      point.results.in_doubt_time,
-                      point.results.throughput)
-            for point in series.points
-        }
-        for series in result.series
-    }
 
 
 def _twopc_render(result: ExperimentResult) -> str:

@@ -587,23 +587,6 @@ class Environment:
         heap = self._heap
         return heap[0][0] if heap else _INF
 
-    def step(self) -> None:
-        """Process exactly one event (cancelled events count as no-ops)."""
-        when, _, event = heappop(self._heap)
-        self._now = when
-        if event._state == _CANCELLED:
-            self._ncancelled -= 1
-            event._state = _PROCESSED
-            event.callbacks = None
-            return
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._state = _PROCESSED
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            raise event._value
-
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run until a time, until an event fires, or until empty.
 

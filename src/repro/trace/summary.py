@@ -28,9 +28,10 @@ __all__ = [
 ]
 
 #: Display order of the attribution rows (phases not listed sort last).
-_PHASE_ORDER = ["queue", "cpu.bot", "lock", "cpu.ref", "fix", "cpu.eot",
-                "2pc.work", "2pc.prepare", "2pc.decision", "2pc.notify",
-                "commit", "backoff"]
+_PHASE_ORDER = ["queue", "cpu.bot", "lock.remote", "lock", "cpu.ref",
+                "fix", "cpu.eot", "2pc.work", "2pc.prepare",
+                "2pc.decision", "2pc.notify", "commit", "gem.propagate",
+                "invalidate", "backoff"]
 
 
 def _fields(span) -> Tuple[str, Optional[int], int, float, float, object]:

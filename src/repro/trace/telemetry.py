@@ -15,7 +15,8 @@ is why it stays off by default and outside the golden-checksum runs.
 
 It duck-types over both :class:`~repro.core.model.TransactionSystem`
 and :class:`~repro.cluster.system.ClusterSystem` (the latter exposes
-``nodes``; gauges are then aggregated across them).
+``nodes``; gauges are then aggregated across its lock tables and
+storage subsystems, which data-sharing nodes share).
 """
 
 from __future__ import annotations
@@ -78,14 +79,11 @@ class TelemetrySampler:
                 system.storage.utilization_report().items()
             }
         else:
-            lock_queue = sum(n.locks.waiting_count() for n in nodes)
+            lock_queue = sum(table.waiting_count()
+                             for table in system.lock_tables)
             cpu_util = sum(n.cpu.utilization for n in nodes) / len(nodes)
-            util = {}
-            for node in nodes:
-                for name, report in \
-                        node.storage.utilization_report().items():
-                    util[f"n{node.node_id}:{name}"] = (
-                        max(report.values()) if report else 0.0)
+            util = {name: max(report.values()) if report else 0.0
+                    for name, report in system.device_report().items()}
         return {
             "t": env.now,
             "tps": tps,

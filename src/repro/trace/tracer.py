@@ -44,6 +44,7 @@ PHASE_SPANS = frozenset({
     "queue",          # input-queue (and offline-gate) wait before admission
     "cpu.bot",        # begin-of-transaction CPU burst (wait + service)
     "lock",           # lock wait (emitted by the lock manager's wait path)
+    "lock.remote",    # data sharing: lock request round trip to node 0
     "cpu.ref",        # per-reference CPU burst
     "fix",            # buffer-miss page fix (redo gate + fetch)
     "cpu.eot",        # end-of-transaction CPU burst
@@ -53,6 +54,8 @@ PHASE_SPANS = frozenset({
     "2pc.prepare",    # coordinator: PREPARE round trip, votes collected
     "2pc.decision",   # coordinator: decision record forced via home log
     "2pc.notify",     # coordinator: decision messages to participants
+    "gem.propagate",  # data sharing: committed pages written to GEM
+    "invalidate",     # data sharing: invalidation broadcast at commit
 })
 
 #: Nested diagnostic spans (device/log/2PC-piece/recovery detail).

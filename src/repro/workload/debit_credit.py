@@ -206,10 +206,11 @@ class DebitCreditWorkload:
         Debit-Credit references are writes, and clustering makes the
         BRANCH and TELLER references hit the same page.
         """
-        capacity = system.config.cm.buffer_size
-        second_level = max(system.config.cm.nvem_cache_size,
+        config = system.bm.config
+        capacity = config.cm.buffer_size
+        second_level = max(config.cm.nvem_cache_size,
                            max((u.cache_size for u in
-                                system.config.disk_units), default=0))
+                                config.disk_units), default=0))
         n_txs = max(4000, 3 * (capacity + second_level))
         system.bm.prewarm(self._prewarm_refs(system.streams, n_txs))
 

@@ -160,7 +160,7 @@ class SyntheticWorkload:
     def prewarm(self, system, n_txs: Optional[int] = None) -> None:
         """Warm cache levels with a representative synthetic stream."""
         if n_txs is None:
-            n_txs = max(4000, 3 * system.config.cm.buffer_size)
+            n_txs = max(4000, 3 * system.bm.config.cm.buffer_size)
         rates = [t.arrival_rate for t in self.config.tx_types]
         total = sum(rates)
         if total <= 0:

@@ -1,7 +1,8 @@
 """Tests for the sharded multi-node cluster (repro.cluster).
 
 Covers the 2PC commit path end to end (local vs distributed commits,
-NVEM-vs-disk log placement), the abort path after a failed piece,
+NVEM-vs-disk log placement), node-template settings no cluster
+honours, the abort path after a failed piece,
 coordinator-crash failover through the GEM decision table,
 determinism, and the fingerprint contract that keeps the
 content-addressed point cache honest about cluster knobs.
@@ -11,13 +12,15 @@ import pytest
 
 from repro.cluster import (
     ClusterConfig,
+    CouplingConfig,
     PartitionMap,
     cluster_config,
     node_scheme,
 )
 from repro.cluster.workload import ShardedDebitCreditWorkload
+from repro.core.config import DeviceFault, MediaConfig, RecoveryConfig
 from repro.core.fingerprint import fingerprint, point_fingerprint
-from repro.distributed.messages import CouplingConfig
+from repro.experiments.defaults import debit_credit_config, disk_only
 
 
 def build_cluster(num_nodes=2, log="nvem", rate=50.0, dist=0.15,
@@ -52,6 +55,31 @@ class TestConfig:
         with pytest.raises(ValueError):
             cluster_config(num_nodes=2,
                            crash_schedule=((0, 2.0), (1, 1.0)))
+
+    @pytest.mark.parametrize("data_sharing", [False, True])
+    def test_node_recovery_settings_rejected(self, data_sharing):
+        """Node crashes come from crash_schedule; the template's
+        single-system crash model would be silently ignored."""
+        config = self._coupled(data_sharing)
+        config.node.recovery = RecoveryConfig(enabled=True,
+                                              crash_times=(3.0,))
+        with pytest.raises(ValueError, match="node.recovery.enabled"):
+            config.validate()
+
+    @pytest.mark.parametrize("data_sharing", [False, True])
+    def test_node_media_settings_rejected(self, data_sharing):
+        config = self._coupled(data_sharing)
+        config.node.media = MediaConfig(
+            enabled=True, faults=(DeviceFault(device="db0", time=3.0),))
+        with pytest.raises(ValueError, match="node.media.enabled"):
+            config.validate()
+
+    @staticmethod
+    def _coupled(data_sharing):
+        if data_sharing:
+            return ClusterConfig(node=debit_credit_config(disk_only()),
+                                 data_sharing=True)
+        return cluster_config(num_nodes=2)
 
     def test_node_scheme_log_placements(self):
         nvem = node_scheme(log="nvem")

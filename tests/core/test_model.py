@@ -90,11 +90,6 @@ class TestRunHarness:
                              saturation_queue_limit=50)
         assert results.saturated
 
-    def test_run_for_commits(self):
-        system = TransactionSystem(nvem_config(), SimpleWorkload())
-        results = system.run_for_commits(commits=50, warmup_commits=10)
-        assert results.committed >= 50
-
     def test_snapshot_without_run(self):
         system = TransactionSystem(nvem_config(), SimpleWorkload())
         results = system.snapshot()

@@ -1,14 +1,12 @@
-"""Tests for the distributed (data-sharing) extension."""
+"""Tests for the data-sharing coupling of the cluster
+(``ClusterConfig(data_sharing=True)``: central locking, GEM and
+broadcast invalidation over one shared storage subsystem)."""
 
 import pytest
 
-from repro.distributed import (
-    CouplingConfig,
-    DistributedConfig,
-    DistributedSystem,
-    GlobalExtendedMemory,
-    MessageBus,
-)
+from repro.cluster import ClusterConfig, CouplingConfig, MessageBus
+from repro.cluster.sharing import GlobalExtendedMemory
+from repro.cluster.system import ClusterSystem
 from repro.core.config import NVEMConfig
 from repro.core.cpu import CPUPool
 from repro.core.config import CMConfig
@@ -18,30 +16,40 @@ from repro.storage.nvem import NVEMDevice
 from repro.workload.debit_credit import DebitCreditWorkload
 
 
-def run_distributed(nodes=2, gem=0, rate=200.0, duration=4.0,
-                    coupling=None, routing="round_robin", seed=1):
-    config = debit_credit_config(disk_only())
-    dconfig = DistributedConfig(
-        num_nodes=nodes, gem_capacity=gem, routing=routing,
+def sharing_config(config, nodes=2, gem=0, coupling=None):
+    return ClusterConfig(
+        node=config, num_nodes=nodes, data_sharing=True, gem_capacity=gem,
         coupling=coupling or CouplingConfig.nvem_coupling(),
     )
-    system = DistributedSystem(config, dconfig,
-                               DebitCreditWorkload(arrival_rate=rate),
-                               seed=seed)
+
+
+def run_distributed(nodes=2, gem=0, rate=200.0, duration=4.0,
+                    coupling=None, seed=1):
+    config = sharing_config(debit_credit_config(disk_only()), nodes, gem,
+                            coupling)
+    system = ClusterSystem(config, DebitCreditWorkload(arrival_rate=rate),
+                           seed=seed)
     results = system.run(warmup=2.0, duration=duration)
     return results, system
 
 
 class TestConfig:
     def test_validation(self):
+        node = debit_credit_config(disk_only())
         with pytest.raises(ValueError):
-            DistributedConfig(num_nodes=0).validate()
-        with pytest.raises(ValueError):
-            DistributedConfig(num_nodes=2, central_lock_node=5).validate()
-        with pytest.raises(ValueError):
-            DistributedConfig(routing="carrier-pigeon").validate()
+            sharing_config(node, nodes=0).validate()
+        with pytest.raises(ValueError, match="gem_capacity must be"):
+            sharing_config(node, gem=-1).validate()
+        with pytest.raises(ValueError, match="needs data_sharing"):
+            ClusterConfig(node=node, gem_capacity=10).validate()
+        with pytest.raises(ValueError, match="shared-disk crash model"):
+            config = sharing_config(node)
+            config.crash_schedule = ((1, 3.0),)
+            config.validate()
         with pytest.raises(ValueError):
             CouplingConfig(latency=-1).validate()
+        # The template is the whole shared database: no shard check.
+        sharing_config(node, nodes=4, gem=100).validate()
 
     def test_coupling_presets(self):
         nvem = CouplingConfig.nvem_coupling()
@@ -192,21 +200,15 @@ class TestDistributedSystem:
         assert not four.saturated
         assert four.throughput == pytest.approx(900, rel=0.1)
 
-    def test_random_routing(self):
-        results, system = run_distributed(nodes=2, routing="random")
-        per_node = [n.committed for n in system.node_results()]
-        assert all(count > 0 for count in per_node)
-
     def test_workloads_unchanged(self):
-        """Any existing workload runs on the distributed system."""
+        """Any central workload runs on a data-sharing cluster."""
         from repro.experiments.fig4_8 import build_config
         from repro.core.config import CCMode
         from repro.workload.synthetic import SyntheticWorkload
 
         config = build_config("db0", "db0", "log0", CCMode.OBJECT, 100.0)
-        dconfig = DistributedConfig(num_nodes=2)
-        system = DistributedSystem(config, dconfig,
-                                   SyntheticWorkload(config), seed=2)
+        system = ClusterSystem(sharing_config(config),
+                               SyntheticWorkload(config), seed=2)
         results = system.run(warmup=2.0, duration=4.0)
         assert results.committed > 100
 
@@ -240,9 +242,8 @@ class TestDeadlockRestart:
         transactions commit."""
         from repro.core.transaction import ObjectRef, Transaction
 
-        config = debit_credit_config(disk_only())
-        system = DistributedSystem(config, DistributedConfig(num_nodes=2),
-                                   _Idle(), seed=3)
+        config = sharing_config(debit_credit_config(disk_only()))
+        system = ClusterSystem(config, _Idle(), seed=3)
         env = system.env
         aborts = []
         record_abort = system.metrics.record_abort

@@ -12,6 +12,8 @@ hold:
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.cluster import ClusterConfig
+from repro.cluster.system import ClusterSystem
 from repro.core.bm import BufferManager
 from repro.core.config import (
     MEMORY,
@@ -30,7 +32,6 @@ from repro.core.config import (
 from repro.core.cpu import CPUPool
 from repro.core.metrics import MetricsCollector
 from repro.core.transaction import ObjectRef, Transaction
-from repro.distributed import DistributedConfig, DistributedSystem
 from repro.sim import Environment, RandomStreams
 from repro.storage.hierarchy import StorageSubsystem
 from tests.core.test_bm import build_system
@@ -342,8 +343,9 @@ def test_distributed_fanout_prewarm_matches_per_reference_replay(
                             cache_sizes, strategy, policy)
 
     def build():
-        return DistributedSystem(config, DistributedConfig(
-            num_nodes=2, gem_capacity=gem), workload=None, seed=1)
+        return ClusterSystem(ClusterConfig(
+            node=config, num_nodes=2, data_sharing=True,
+            gem_capacity=gem), workload=None, seed=1)
 
     bulk, oracle = build(), build()
     bulk.bm.prewarm(iter(refs))
