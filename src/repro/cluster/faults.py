@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Tuple
 
-from repro.recovery.crash import RestartStats
+from repro.recovery.crash import RecoveryBlock, RestartStats
 
 __all__ = ["ClusterFaultInjector"]
 
@@ -44,7 +44,7 @@ class ClusterFaultInjector:
         """
         if not self.cluster.config.crash_schedule:
             return
-        self.cluster.metrics.recovery_enabled = True
+        self.block = self.cluster.metrics.block("recovery", RecoveryBlock)
         for node in self.cluster.nodes:
             node.enable_recovery()
             node.start_recovery()
@@ -71,7 +71,7 @@ class ClusterFaultInjector:
         env = self.env
         crashed_at = env.now
         # 1. Gate shut; the rest of the cluster keeps running.
-        cluster.metrics.note_outage_start()
+        cluster.metrics.outage.start()
         node.tm.take_offline()
         # 2. Volatile state lost: local transactions, remote pieces
         #    hosted here (their coordinators are told "failed"/"no"),
@@ -96,7 +96,7 @@ class ClusterFaultInjector:
         # 4. Restart replay through this node's devices.
         stats = yield from node.replayer.replay(snapshot)
         self.restarts.append((node.node_id, stats))
-        cluster.metrics.record_crash(env.now - crashed_at, stats)
+        self.block.record_crash(env.now - crashed_at, stats)
         # 5. Reopen for business.
         node.tm.go_online()
 

@@ -103,16 +103,6 @@ class GlobalExtendedMemory:
         self.stats.add("install")
         return self.cache.insert(key, dirty=dirty)
 
-    def invalidate(self, key) -> bool:
-        """Drop a (stale) page version, e.g. on an aborted propagation."""
-        if key in self.cache:
-            entry = self.cache.peek(key)
-            if not entry.dirty:
-                self.cache.remove(key)
-                self.stats.add("invalidate")
-                return True
-        return False
-
     def mark_clean(self, key, entry) -> None:
         """Disk copy is current (async write finished)."""
         current = self.cache.peek(key)

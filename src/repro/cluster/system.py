@@ -36,10 +36,10 @@ from repro.cluster.messages import MessageBus
 from repro.cluster.node import ClusterNode
 from repro.cluster.partition import PartitionMap
 from repro.cluster.sharing import GlobalExtendedMemory
-from repro.cluster.twopc import RemotePiece
+from repro.cluster.twopc import ClusterBlock, RemotePiece
 from repro.core.cc import LockManager
 from repro.core.metrics import MetricsCollector, Results
-from repro.core.model import measured_run
+from repro.core.model import measured_run, observe
 from repro.core.transaction import Transaction
 from repro.sim import Environment, RandomStreams
 from repro.sim.stats import CategoryCounter
@@ -103,8 +103,9 @@ class ClusterSystem:
         self.bus = MessageBus(self.env, config.coupling)
         #: Data-sharing state (``None`` when shared nothing): the one
         #: storage subsystem, the lock table node 0 hosts and the
-        #: optional GEM page cache.
-        self.storage = self.locks = self.gem = None
+        #: optional GEM page cache.  Shared nothing instead has
+        #: ``twopc``, the Results cluster block (nodes, $ cost, 2PC).
+        self.storage = self.locks = self.gem = self.twopc = None
         self.invalidation_stats = CategoryCounter()
         if config.data_sharing:
             self.storage = StorageSubsystem(self.env, self.streams,
@@ -115,27 +116,14 @@ class ClusterSystem:
                     config.gem_capacity)
             self.locks = LockManager(self.env, self.metrics)
         else:
-            # Results carry the cluster block (nodes, $ cost, 2PC).
-            self.metrics.cluster_enabled = True
-            self.metrics.cluster_nodes = config.num_nodes
-            self.metrics.cluster_cost = cluster_cost(config)
-        # Observability rides on the node template's TraceConfig.  The
-        # tracer must exist before the nodes: each node wires a
+            self.twopc = self.metrics.block(
+                "cluster",
+                lambda _: ClusterBlock(config.num_nodes,
+                                       cluster_cost(config)))
+        # The tracer must exist before the nodes: each node wires a
         # per-node view (shared span buffer, node-tagged) into its own
         # components.
-        trace_cfg = config.node.trace
-        self.tracer = None
-        self.telemetry = None
-        if trace_cfg.enabled:
-            from repro.trace.tracer import Tracer
-
-            self.tracer = Tracer(self.env, streams=self.streams,
-                                 sample=trace_cfg.sample,
-                                 max_spans=trace_cfg.max_spans)
-            self.metrics.tracer = self.tracer
-        if trace_cfg.latency_detail:
-            self.metrics.latency_detail = True
-            self.metrics.slo_threshold = trace_cfg.slo_ms / 1000.0
+        observe(self, config.node.trace)
         self.nodes: List[ClusterNode] = [
             ClusterNode(i, self) for i in range(config.num_nodes)
         ]
@@ -153,13 +141,6 @@ class ClusterSystem:
                              for node in self.nodes]
             self.lock_tables = [node.locks for node in self.nodes]
         self.tm = ClusterRouter(self)
-        if trace_cfg.telemetry_interval > 0:
-            from repro.trace.telemetry import TelemetrySampler
-
-            self.telemetry = TelemetrySampler(
-                self, trace_cfg.telemetry_interval,
-                max_samples=trace_cfg.telemetry_max_samples)
-            self.metrics.telemetry = self.telemetry
         self.faults = ClusterFaultInjector(self)
         #: GEM-mirrored commit decisions (tx_id -> True), written at
         #: decision-force time, dropped once every participant learned
@@ -206,7 +187,7 @@ class ClusterSystem:
                     piece.decision.succeed(outcome)
                     resolved += 1
         if resolved:
-            self.metrics.record_failover(resolved)
+            self.twopc.failover_resolved += resolved
 
     # -- lifecycle (mirrors TransactionSystem) ---------------------------
     def start_workload(self) -> None:

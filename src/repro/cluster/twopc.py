@@ -42,7 +42,47 @@ from repro.core.tm import TransactionManager
 from repro.core.transaction import ObjectRef, Transaction
 from repro.sim import Event
 
-__all__ = ["ClusterTransaction", "ClusterTransactionManager", "RemotePiece"]
+__all__ = ["ClusterBlock", "ClusterTransaction",
+           "ClusterTransactionManager", "RemotePiece"]
+
+
+class ClusterBlock:
+    """The ``Results.cluster`` block of a shared-nothing cluster: its
+    size and $ cost (the price-performance inputs) plus the per-phase
+    2PC counters."""
+
+    def __init__(self, nodes: int, cost: float):
+        self.nodes = nodes
+        self.cost = cost
+        self.reset()
+
+    def reset(self) -> None:
+        self.local_commits = 0
+        self.distributed_commits = 0
+        self.commit_phase_total = 0.0
+        self.prepared_pieces = 0
+        self.in_doubt_total = 0.0
+        self.failover_resolved = 0
+
+    def record_commit(self, distributed: bool, commit_phase: float) -> None:
+        """One commit; ``commit_phase`` is its EOT-to-lock-release time."""
+        if distributed:
+            self.distributed_commits += 1
+        else:
+            self.local_commits += 1
+        self.commit_phase_total += commit_phase
+
+    def finalize(self) -> dict:
+        return {
+            "nodes": float(self.nodes),
+            "cost_dollars": self.cost,
+            "local_commits": float(self.local_commits),
+            "distributed_commits": float(self.distributed_commits),
+            "commit_phase_total": self.commit_phase_total,
+            "prepared_pieces": float(self.prepared_pieces),
+            "in_doubt_total": self.in_doubt_total,
+            "failover_resolved": float(self.failover_resolved),
+        }
 
 
 class ClusterTransaction(Transaction):
@@ -173,7 +213,9 @@ class ClusterTransactionManager(TransactionManager):
             if not piece.vote.triggered:
                 piece.vote.succeed("yes")
             decision = yield piece.decision
-            self.metrics.record_in_doubt(env.now - piece.in_doubt_from)
+            twopc = self.cluster.twopc
+            twopc.prepared_pieces += 1
+            twopc.in_doubt_total += env.now - piece.in_doubt_from
             if traced and env.now > piece.in_doubt_from:
                 self.tracer.span("piece.indoubt", btx.tx_id,
                                  piece.in_doubt_from, env.now)
@@ -238,7 +280,7 @@ class ClusterTransactionManager(TransactionManager):
         pieces = getattr(tx, "pieces", ())
         if not pieces:
             yield from super()._commit(tx, tracer)
-            self.metrics.record_cluster_commit(False, env.now - commit_from)
+            cluster.twopc.record_commit(False, env.now - commit_from)
             return True
         # Phase 1: PREPARE every participant, collect votes.
         for piece in pieces:
@@ -271,7 +313,7 @@ class ClusterTransactionManager(TransactionManager):
         if tracer is not None and env.now > t0:
             tracer.span("2pc.notify", tx.tx_id, t0, env.now)
         cluster.clear_pieces(tx)
-        self.metrics.record_cluster_commit(True, env.now - commit_from)
+        cluster.twopc.record_commit(True, env.now - commit_from)
         return True
 
     def _abort(self, tx: Transaction) -> None:

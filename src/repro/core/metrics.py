@@ -16,13 +16,13 @@ disk cache, SSD, NVEM-resident, memory-resident or disk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.transaction import Transaction
 from repro.sim import Environment
 from repro.sim.stats import Accumulator, CategoryCounter
 
-__all__ = ["MetricsCollector", "Results"]
+__all__ = ["MetricsCollector", "Results", "Window"]
 
 #: Access levels, in hierarchy order.
 LEVEL_MEMORY_RESIDENT = "memory_resident"
@@ -65,143 +65,111 @@ class Results:
     device_utilization: Dict[str, Dict[str, float]]
     saturated: bool = False
     input_queue_peak: int = 0
-    #: Crash-recovery/availability counters; ``None`` unless the run had
-    #: the recovery subsystem enabled (keeps recovery-disabled exports
-    #: bit-identical to builds without the subsystem).
+    #: The optional blocks: each is filled by its subsystem (see
+    #: :meth:`MetricsCollector.block`) and stays ``None`` when the run
+    #: had no such subsystem, so its export is bit-identical to builds
+    #: without it.
+    #: Crash-recovery counters and availability (:mod:`repro.recovery`).
     recovery: Optional[Dict[str, float]] = None
-    #: Cluster / two-phase-commit counters; ``None`` unless the run was
-    #: a multi-node cluster (keeps single-node exports bit-identical to
-    #: builds without the cluster subsystem).
+    #: Shared-nothing size, $ cost and 2PC counters (:mod:`repro.cluster`).
     cluster: Optional[Dict[str, float]] = None
-    #: Degraded-mode / media-failure counters (degraded-window TPS, I/O
-    #: retries, media-recovery MTTR distribution); ``None`` unless the
-    #: run enabled media faults or online redo (keeps default-off
-    #: exports bit-identical to builds without the subsystem).
+    #: Degraded-window TPS, I/O retries and media-recovery MTTR (media
+    #: faults or online redo).
     degraded: Optional[Dict[str, float]] = None
-    #: Latency-distribution block (p50/p95/p99 + SLO attainment);
-    #: ``None`` unless the run enabled ``TraceConfig.latency_detail``
-    #: (keeps default exports bit-identical to builds without the
-    #: observability subsystem).
+    #: p50/p95/p99 + SLO attainment (``TraceConfig.latency_detail``).
     latency: Optional[Dict[str, float]] = None
-    #: Telemetry gauge samples (:mod:`repro.trace.telemetry`); ``None``
-    #: unless the run set ``TraceConfig.telemetry_interval``.
+    #: Telemetry gauge samples (``TraceConfig.telemetry_interval``).
     timeseries: Optional[List[Dict]] = None
+
+    def stat(self, block: str, key: str,
+             default: Optional[float] = 0.0) -> Optional[float]:
+        """``key`` of the named block, or ``default`` without one."""
+        payload = getattr(self, block)
+        return default if payload is None else payload.get(key, default)
 
     @property
     def response_time_ms(self) -> float:
         return self.response_time_mean * 1000.0
 
     @property
-    def response_time_p50(self) -> float:
-        """Median response time; falls back to the mean when the run
-        recorded no latency block."""
-        if self.latency is not None:
-            return self.latency.get("p50", self.response_time_mean)
-        return self.response_time_mean
+    def response_time_p50(self) -> Optional[float]:
+        """Median response time; ``None`` without a latency block."""
+        return self.stat("latency", "p50", None)
 
     @property
-    def response_time_p99(self) -> float:
-        """99th-percentile response time; falls back to p95 when the
-        run recorded no latency block."""
-        if self.latency is not None:
-            return self.latency.get("p99", self.response_time_p95)
-        return self.response_time_p95
+    def response_time_p99(self) -> Optional[float]:
+        """99th-percentile response time; ``None`` without a latency
+        block."""
+        return self.stat("latency", "p99", None)
 
     @property
-    def slo_attainment(self) -> float:
-        """Fraction of commits inside the SLO threshold.
-
-        Exact when the run recorded the latency block; otherwise a
-        coarse bound read off the summary statistics against the
-        default 1 s threshold (TPC-A's classic 90th-percentile bound).
-        """
-        if self.latency is not None:
-            return self.latency.get("slo_attainment", 1.0)
-        if self.committed == 0:
-            return 1.0
-        if self.response_time_max <= 1.0:
-            return 1.0
-        if self.response_time_p95 <= 1.0:
-            return 0.95
-        if self.response_time_mean <= 1.0:
-            return 0.5
-        return 0.0
+    def slo_attainment(self) -> Optional[float]:
+        """Fraction of commits inside the SLO threshold; ``None``
+        without a latency block (the share is measured, never guessed
+        from the summary statistics)."""
+        return self.stat("latency", "slo_attainment", None)
 
     @property
     def availability(self) -> float:
         """Fraction of the measured window the system was up."""
-        if self.recovery is None:
-            return 1.0
-        return self.recovery.get("availability", 1.0)
+        return self.stat("recovery", "availability", 1.0)
 
     @property
     def restart_time_mean(self) -> float:
         """Mean restart (crash-to-admission) time in seconds — the MTTR."""
-        if self.recovery is None:
-            return 0.0
-        return self.recovery.get("restart_time_mean", 0.0)
+        return self.stat("recovery", "restart_time_mean")
 
     @property
     def degraded_tps(self) -> float:
         """Delivered throughput while the system ran degraded (media
         rebuild in progress or online redo admitting transactions)."""
-        if self.degraded is None:
-            return 0.0
-        return self.degraded.get("degraded_tps", 0.0)
+        return self.stat("degraded", "degraded_tps")
 
     @property
     def media_mttr_mean(self) -> float:
         """Mean media-recovery time (loss to fully rebuilt) in seconds."""
-        if self.degraded is None:
-            return 0.0
-        return self.degraded.get("media_mttr_mean", 0.0)
+        return self.stat("degraded", "media_mttr_mean")
 
     @property
     def io_retries(self) -> float:
         """Transient-fault I/O retries survived during measurement."""
-        if self.degraded is None:
-            return 0.0
-        return self.degraded.get("io_retries", 0.0)
+        return self.stat("degraded", "io_retries")
 
     @property
     def nodes(self) -> int:
         """Computing modules the run used (1 for the central case)."""
-        if self.cluster is None:
-            return 1
-        return int(self.cluster.get("nodes", 1))
+        return int(self.stat("cluster", "nodes", 1))
 
     @property
     def dist_fraction(self) -> float:
         """Measured fraction of commits that ran two-phase commit."""
-        if self.cluster is None or self.committed == 0:
+        if self.committed == 0:
             return 0.0
-        return self.cluster.get("distributed_commits", 0.0) / self.committed
+        return self.stat("cluster", "distributed_commits") / self.committed
 
     @property
     def commit_phase_ms(self) -> float:
         """Mean commit-phase (EOT to lock release) time per commit."""
-        if self.cluster is None or self.committed == 0:
+        if self.committed == 0:
             return 0.0
-        return self.cluster.get("commit_phase_total", 0.0) \
+        return self.stat("cluster", "commit_phase_total") \
             / self.committed * 1000.0
 
     @property
     def in_doubt_time(self) -> float:
         """Mean seconds a prepared 2PC participant spent in doubt
         (vote sent, decision not yet known — locks held throughout)."""
-        if self.cluster is None:
-            return 0.0
-        prepared = self.cluster.get("prepared_pieces", 0.0)
+        prepared = self.stat("cluster", "prepared_pieces")
         if prepared <= 0:
             return 0.0
-        return self.cluster.get("in_doubt_total", 0.0) / prepared
+        return self.stat("cluster", "in_doubt_total") / prepared
 
     @property
     def dollars_per_tps(self) -> float:
         """Price-performance: configuration dollars per measured TPS."""
-        if self.cluster is None or self.throughput <= 0:
+        if self.throughput <= 0:
             return 0.0
-        return self.cluster.get("cost_dollars", 0.0) / self.throughput
+        return self.stat("cluster", "cost_dollars") / self.throughput
 
     def normalized_response_time(self, mean_tx_size: float) -> float:
         """Response time of an "artificial transaction performing the
@@ -273,6 +241,53 @@ class Results:
         return "\n".join(lines)
 
 
+class Window:
+    """A union of possibly overlapping intervals, clipped to the
+    measured window.
+
+    Overlapping outages (two nodes down at once, a media rebuild
+    spanning a crash) charge the wall clock once: ``open`` counts the
+    concurrently open intervals and ``since`` marks when their union
+    opened, so :meth:`total` can also charge a window that ends while
+    an interval is still open.
+    """
+
+    __slots__ = ("env", "open", "since", "closed", "measure_start")
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self.open = 0
+        self.since: Optional[float] = None
+        self.closed = 0.0
+        self.measure_start = env.now
+
+    def start(self) -> None:
+        if self.open == 0:
+            self.since = self.env.now
+        self.open += 1
+
+    def end(self) -> None:
+        """Close one interval; closing the last one charges the union."""
+        self.open = max(0, self.open - 1)
+        if self.open == 0 and self.since is not None:
+            self.closed += self._open_part()
+            self.since = None
+
+    def reset(self) -> None:
+        """Warm-up boundary: only later time is charged."""
+        self.measure_start = self.env.now
+        self.closed = 0.0
+
+    def total(self) -> float:
+        """Charged seconds, including a union that is still open."""
+        if self.since is None:
+            return self.closed
+        return self.closed + self._open_part()
+
+    def _open_part(self) -> float:
+        return max(0.0, self.env.now - max(self.since, self.measure_start))
+
+
 class MetricsCollector:
     """Accumulates statistics during a run (post-warm-up).
 
@@ -281,11 +296,13 @@ class MetricsCollector:
     millions of times per figure — so they are plain dict-counter
     increments: no string formatting, no attribute chains beyond one
     bound dict, no allocation except the first time a tag appears.
+
+    Subsystems keep their own accounting in a *block* (:meth:`block`);
+    the collector only resets and finalizes the blocks it was given.
     """
 
     def __init__(self, env: Environment, reservoir: int = 4000):
         self.env = env
-        self.active = True
         self.measure_start = env.now
         self.response = Accumulator(reservoir=reservoir)
         self.response_by_type: Dict[str, Accumulator] = {}
@@ -314,71 +331,42 @@ class MetricsCollector:
         }
         self.input_queue_peak = 0
         self.saturated = False
-        #: Set by the recovery subsystem when installed; makes finalize
-        #: emit the availability block even for crash-free windows.
-        self.recovery_enabled = False
-        self.crash_count = 0
-        self.checkpoint_count = 0
-        #: True restart durations (MTTR numerator) vs. the part of them
-        #: that fell inside the measured window (availability charge).
-        self.downtime_total = 0.0
-        self.window_downtime = 0.0
-        self.restart_log_pages = 0
-        self.restart_redo_pages = 0
-        self.restart_log_scan_total = 0.0
-        self.restart_redo_total = 0.0
-        #: Outage accounting as a *union* of down-intervals: overlapping
-        #: outages (two nodes down at once, or a media rebuild spanning
-        #: a crash) charge the wall-clock once.  ``_outages_open`` counts
-        #: concurrently open outages; ``_outage_union_since`` marks when
-        #: the union interval opened, so finalize can charge a window
-        #: that ends mid-outage.
-        self._outages_open = 0
-        self._outage_union_since: Optional[float] = None
-        #: Set by the media/online-redo wiring; makes finalize emit the
-        #: degraded block even for fault-free windows.
-        self.media_enabled = False
-        self.io_retry_count = 0
-        self.media_recovery_count = 0
-        self.media_mttr_total = 0.0
-        self.media_mttr_max = 0.0
-        self.media_restore_pages = 0
-        self.media_redo_pages = 0
-        self.media_log_pages = 0
-        #: Degraded windows (media rebuild in progress or online redo
-        #: admitting transactions), unioned like outages.
-        self._degraded_open = 0
-        self._degraded_since: Optional[float] = None
-        self.degraded_window = 0.0
+        #: Down time and degraded time (media rebuild in progress, or
+        #: online redo admitting transactions).  Held here because
+        #: crashes, cluster faults, media, online redo and telemetry
+        #: all touch them; commits inside a degraded window are counted.
+        self.outage = Window(env)
+        self.degraded = Window(env)
         self.degraded_commits = 0
-        #: Set by the cluster layer; makes finalize emit the cluster
-        #: block (per-phase 2PC counters + price-performance inputs).
-        self.cluster_enabled = False
-        self.cluster_nodes = 1
-        self.cluster_cost = 0.0
-        self.local_commits = 0
-        self.distributed_commits = 0
-        self.commit_phase_total = 0.0
-        self.prepared_pieces = 0
-        self.in_doubt_total = 0.0
-        self.failover_resolved = 0
-        #: Observability wiring (:mod:`repro.trace`), set by the system
-        #: when configured.  ``latency_detail`` makes finalize emit the
-        #: p50/p99/SLO block; the SLO counter itself costs one
-        #: comparison per *commit* (never per event) so it is always
-        #: maintained.  ``tracer``/``telemetry`` are cleared at the
-        #: warm-up boundary through :meth:`reset`, which both the
-        #: single-node and the cluster run loop already call.
-        self.latency_detail = False
+        #: Commits within ``slo_threshold`` seconds: one comparison per
+        #: commit, so it is always maintained.
         self.slo_threshold = 1.0
         self.slo_ok = 0
+        #: Span tracer, cleared at the warm-up boundary (``None`` when
+        #: tracing is off).
         self.tracer = None
-        self.telemetry = None
+        #: ``Results`` field name -> block (see :meth:`block`).
+        self.blocks: Dict[str, object] = {}
+
+    def block(self, name: str,
+              factory: Callable[["MetricsCollector"], object]):
+        """The block that fills ``Results.<name>``, made by
+        ``factory(self)`` on first request.
+
+        A block has ``reset()`` (the warm-up boundary) and
+        ``finalize()``, which returns the field's payload.  A run that
+        never asks for a block leaves its field ``None``, so its export
+        is unchanged.  Every later request returns the same block, so
+        two producers of one block (media faults and online redo) share
+        it.
+        """
+        block = self.blocks.get(name)
+        if block is None:
+            block = self.blocks[name] = factory(self)
+        return block
 
     # -- event hooks ------------------------------------------------------
     def record_commit(self, tx: Transaction, response_time: float) -> None:
-        if not self.active:
-            return
         self.committed += 1
         self.response.add(response_time)
         acc = self.response_by_type.get(tx.tx_type)
@@ -395,22 +383,18 @@ class MetricsCollector:
         totals["nvem"] += tx.wait_nvem
         if response_time <= self.slo_threshold:
             self.slo_ok += 1
-        if self._degraded_open:
+        if self.degraded.open:
             self.degraded_commits += 1
 
     def record_abort(self, tx: Transaction, restarted: bool = True) -> None:
         """Count an abort; ``restarted=False`` for external aborts that
         tear the transaction down without re-running it (the restart
         counter tracks deadlock victims that actually re-execute)."""
-        if not self.active:
-            return
         self.aborted += 1
         if restarted:
             self.restarts += 1
 
     def record_page_access(self, tag: Optional[str], level: str) -> None:
-        if not self.active:
-            return
         counts = self._page_counts
         counts[level] = counts.get(level, 0) + 1
         if tag is not None:
@@ -421,128 +405,23 @@ class MetricsCollector:
             by_tag[level] = by_tag.get(level, 0) + 1
 
     def record_io(self, kind: str) -> None:
-        if not self.active:
-            return
         counts = self._io_count_map
         counts[kind] = counts.get(kind, 0) + 1
 
     def record_lock_request(self, granted_immediately: bool) -> None:
-        if not self.active:
-            return
         self.lock_counts.add("requests")
         if not granted_immediately:
             self.lock_counts.add("conflicts")
 
     def record_lock_wait(self, duration: float) -> None:
-        if not self.active:
-            return
         self.lock_wait.add(duration)
 
     def record_deadlock(self) -> None:
-        if not self.active:
-            return
         self.lock_counts.add("deadlocks")
 
     def note_input_queue(self, length: int) -> None:
         if length > self.input_queue_peak:
             self.input_queue_peak = length
-
-    def record_checkpoint(self) -> None:
-        self.checkpoint_count += 1
-
-    def record_cluster_commit(self, distributed: bool,
-                              commit_phase: float) -> None:
-        """Commit-phase accounting for one committed transaction:
-        ``distributed`` marks two-phase commits, ``commit_phase`` is
-        the EOT-to-lock-release duration in seconds."""
-        if not self.active:
-            return
-        if distributed:
-            self.distributed_commits += 1
-        else:
-            self.local_commits += 1
-        self.commit_phase_total += commit_phase
-
-    def record_in_doubt(self, duration: float) -> None:
-        """A prepared participant's vote-to-decision window closed."""
-        if not self.active:
-            return
-        self.prepared_pieces += 1
-        self.in_doubt_total += duration
-
-    def record_failover(self, pieces: int) -> None:
-        """GEM failover resolved ``pieces`` in-doubt participants of a
-        crashed coordinator (presumed abort unless a mirrored commit
-        decision was found)."""
-        self.failover_resolved += pieces
-
-    def note_outage_start(self) -> None:
-        """A node just went down; its restart is now in progress."""
-        if self._outages_open == 0:
-            self._outage_union_since = self.env.now
-        self._outages_open += 1
-
-    def note_outage_end(self) -> None:
-        """One outage closed; when it was the last open one, charge the
-        union interval (clipped to the measured window) to downtime."""
-        self._outages_open = max(0, self._outages_open - 1)
-        if self._outages_open == 0 and self._outage_union_since is not None:
-            start = max(self._outage_union_since, self.measure_start)
-            self.window_downtime += max(0.0, self.env.now - start)
-            self._outage_union_since = None
-
-    def record_crash(self, downtime: float, stats,
-                     outage_open: bool = True) -> None:
-        """One crash/restart cycle finished; ``stats`` is a
-        :class:`repro.recovery.crash.RestartStats`.
-
-        ``downtime`` is the full crash-to-admission duration (the MTTR
-        numerator).  The availability charge comes from the union of
-        down-intervals (:meth:`note_outage_end`), so overlapping
-        multi-node outages count the wall-clock once; pass
-        ``outage_open=False`` when the caller already closed the outage
-        (online redo reopens admission before the redo pass finishes).
-        """
-        if outage_open:
-            self.note_outage_end()
-        self.crash_count += 1
-        self.downtime_total += downtime
-        self.restart_log_pages += stats.log_pages
-        self.restart_redo_pages += stats.redo_pages
-        self.restart_log_scan_total += stats.log_scan_time
-        self.restart_redo_total += stats.redo_time
-
-    # -- degraded mode / media failures ------------------------------------
-    def note_degraded_start(self) -> None:
-        """The system keeps running but degraded (media rebuild under
-        way, or online redo gating pages while admitting work)."""
-        if self._degraded_open == 0:
-            self._degraded_since = self.env.now
-        self._degraded_open += 1
-
-    def note_degraded_end(self) -> None:
-        self._degraded_open = max(0, self._degraded_open - 1)
-        if self._degraded_open == 0 and self._degraded_since is not None:
-            start = max(self._degraded_since, self.measure_start)
-            self.degraded_window += max(0.0, self.env.now - start)
-            self._degraded_since = None
-
-    def record_io_retry(self) -> None:
-        """One transient-fault I/O attempt failed and was retried."""
-        if not self.active:
-            return
-        self.io_retry_count += 1
-
-    def record_media_recovery(self, duration: float, stats) -> None:
-        """A lost device finished rebuilding; ``stats`` is a
-        :class:`repro.recovery.media.MediaRecoveryStats`."""
-        self.media_recovery_count += 1
-        self.media_mttr_total += duration
-        if duration > self.media_mttr_max:
-            self.media_mttr_max = duration
-        self.media_restore_pages += stats.restore_pages
-        self.media_redo_pages += stats.redo_pages
-        self.media_log_pages += stats.log_pages
 
     # -- warm-up ------------------------------------------------------------
     def reset(self) -> None:
@@ -563,34 +442,14 @@ class MetricsCollector:
             self.composition_totals[key] = 0.0
         self.input_queue_peak = 0
         self.saturated = False
-        self.crash_count = 0
-        self.checkpoint_count = 0
-        self.downtime_total = 0.0
-        self.window_downtime = 0.0
-        self.restart_log_pages = 0
-        self.restart_redo_pages = 0
-        self.restart_log_scan_total = 0.0
-        self.restart_redo_total = 0.0
-        self.io_retry_count = 0
-        self.media_recovery_count = 0
-        self.media_mttr_total = 0.0
-        self.media_mttr_max = 0.0
-        self.media_restore_pages = 0
-        self.media_redo_pages = 0
-        self.media_log_pages = 0
-        self.degraded_window = 0.0
+        self.outage.reset()
+        self.degraded.reset()
         self.degraded_commits = 0
-        self.local_commits = 0
-        self.distributed_commits = 0
-        self.commit_phase_total = 0.0
-        self.prepared_pieces = 0
-        self.in_doubt_total = 0.0
-        self.failover_resolved = 0
         self.slo_ok = 0
         if self.tracer is not None:
             self.tracer.clear()
-        if self.telemetry is not None:
-            self.telemetry.reset()
+        for block in self.blocks.values():
+            block.reset()
 
     # -- finalization ------------------------------------------------------
     def finalize(self, cpu_utilization: float,
@@ -630,82 +489,6 @@ class MetricsCollector:
             key: total / committed
             for key, total in self.composition_totals.items()
         }
-        recovery = None
-        if self.recovery_enabled:
-            downtime = self.window_downtime
-            if self._outage_union_since is not None:
-                # A restart is still in progress at the window's end:
-                # charge its elapsed downtime (clipped to the window).
-                downtime += self.env.now - max(self._outage_union_since,
-                                               self.measure_start)
-            availability = 1.0
-            if span > 0:
-                availability = min(1.0, max(0.0, 1.0 - downtime / span))
-            recovery = {
-                "crashes": float(self.crash_count),
-                "checkpoints": float(self.checkpoint_count),
-                "downtime": downtime,
-                "availability": availability,
-                "restart_time_mean": (
-                    self.downtime_total / self.crash_count
-                    if self.crash_count else 0.0
-                ),
-                "restart_log_scan_time": self.restart_log_scan_total,
-                "restart_redo_time": self.restart_redo_total,
-                "restart_log_pages": float(self.restart_log_pages),
-                "restart_redo_pages": float(self.restart_redo_pages),
-            }
-        degraded = None
-        if self.media_enabled:
-            window = self.degraded_window
-            if self._degraded_since is not None:
-                # The window ends while still degraded: charge the open
-                # interval (clipped to the measured window).
-                window += self.env.now - max(self._degraded_since,
-                                             self.measure_start)
-            degraded = {
-                "degraded_window": window,
-                "degraded_commits": float(self.degraded_commits),
-                "degraded_tps": (
-                    self.degraded_commits / window if window > 0 else 0.0
-                ),
-                "io_retries": float(self.io_retry_count),
-                "media_recoveries": float(self.media_recovery_count),
-                "media_mttr_mean": (
-                    self.media_mttr_total / self.media_recovery_count
-                    if self.media_recovery_count else 0.0
-                ),
-                "media_mttr_max": self.media_mttr_max,
-                "media_restore_pages": float(self.media_restore_pages),
-                "media_redo_pages": float(self.media_redo_pages),
-                "media_log_pages": float(self.media_log_pages),
-            }
-        latency = None
-        if self.latency_detail:
-            latency = {
-                "p50": self.response.percentile(50),
-                "p95": self.response.percentile(95),
-                "p99": self.response.percentile(99),
-                "slo_ms": self.slo_threshold * 1000.0,
-                "slo_attainment": (
-                    self.slo_ok / self.committed if self.committed else 1.0
-                ),
-            }
-        timeseries = None
-        if self.telemetry is not None:
-            timeseries = self.telemetry.snapshot()
-        cluster = None
-        if self.cluster_enabled:
-            cluster = {
-                "nodes": float(self.cluster_nodes),
-                "cost_dollars": self.cluster_cost,
-                "local_commits": float(self.local_commits),
-                "distributed_commits": float(self.distributed_commits),
-                "commit_phase_total": self.commit_phase_total,
-                "prepared_pieces": float(self.prepared_pieces),
-                "in_doubt_total": self.in_doubt_total,
-                "failover_resolved": float(self.failover_resolved),
-            }
         return Results(
             simulated_time=span,
             committed=self.committed,
@@ -728,9 +511,5 @@ class MetricsCollector:
             device_utilization=device_utilization,
             saturated=self.saturated,
             input_queue_peak=self.input_queue_peak,
-            recovery=recovery,
-            cluster=cluster,
-            degraded=degraded,
-            latency=latency,
-            timeseries=timeseries,
+            **{name: block.finalize() for name, block in self.blocks.items()},
         )

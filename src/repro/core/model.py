@@ -28,7 +28,7 @@ from repro.core.tm import TransactionManager
 from repro.sim import Environment, RandomStreams
 from repro.storage.hierarchy import StorageSubsystem
 
-__all__ = ["TransactionSystem", "measured_run"]
+__all__ = ["TransactionSystem", "measured_run", "observe"]
 
 #: Queue samples per measurement window (one per slice).
 SLICES = 20
@@ -70,6 +70,37 @@ def measured_run(system, warmup: float, duration: float,
     return system.snapshot()
 
 
+def observe(system, trace_cfg) -> None:
+    """Wire the observability knobs of ``trace_cfg`` onto ``system``
+    (central or cluster): ``system.tracer``, the latency block and
+    ``system.telemetry``, each ``None``/absent unless its knob is on.
+
+    :mod:`repro.trace` is imported only when a knob is on, so an
+    untraced run never loads it.
+    """
+    system.tracer = system.telemetry = None
+    if not (trace_cfg.enabled or trace_cfg.latency_detail
+            or trace_cfg.telemetry_interval > 0):
+        return
+    from repro.trace.telemetry import LatencyBlock, TelemetrySampler
+    from repro.trace.tracer import Tracer
+
+    metrics = system.metrics
+    if trace_cfg.enabled:
+        system.tracer = metrics.tracer = Tracer(
+            system.env, streams=system.streams, sample=trace_cfg.sample,
+            max_spans=trace_cfg.max_spans)
+    if trace_cfg.latency_detail:
+        metrics.slo_threshold = trace_cfg.slo_ms / 1000.0
+        metrics.block("latency", LatencyBlock)
+    if trace_cfg.telemetry_interval > 0:
+        system.telemetry = metrics.block(
+            "timeseries",
+            lambda _: TelemetrySampler(
+                system, trace_cfg.telemetry_interval,
+                max_samples=trace_cfg.telemetry_max_samples))
+
+
 class TransactionSystem:
     """One centrally organized transaction system (the paper's CM case)."""
 
@@ -101,32 +132,13 @@ class TransactionSystem:
             from repro.recovery.media import MediaManager
 
             self.media = MediaManager(self)
-        self.tracer = None
-        self.telemetry = None
-        trace_cfg = config.trace
-        if trace_cfg.enabled:
-            # Imported lazily: repro.trace builds on the core layer.
-            from repro.trace.tracer import Tracer
-
-            self.tracer = Tracer(self.env, streams=self.streams,
-                                 sample=trace_cfg.sample,
-                                 max_spans=trace_cfg.max_spans)
+        observe(self, config.trace)
+        if self.tracer is not None:
             # Components hold the tracer directly; metrics.reset()
             # clears it at the warm-up boundary.
             self.tm.tracer = self.tracer
             self.locks.tracer = self.tracer
             self.bm.tracer = self.tracer
-            self.metrics.tracer = self.tracer
-        if trace_cfg.latency_detail:
-            self.metrics.latency_detail = True
-            self.metrics.slo_threshold = trace_cfg.slo_ms / 1000.0
-        if trace_cfg.telemetry_interval > 0:
-            from repro.trace.telemetry import TelemetrySampler
-
-            self.telemetry = TelemetrySampler(
-                self, trace_cfg.telemetry_interval,
-                max_samples=trace_cfg.telemetry_max_samples)
-            self.metrics.telemetry = self.telemetry
         self.workload = workload
         self._started = False
 

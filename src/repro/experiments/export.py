@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Dict, List
+from dataclasses import asdict
+from typing import Dict, List, Optional
 
 from repro.core.metrics import Results
 from repro.experiments.runner import ExperimentResult, Series, SeriesPoint
@@ -36,46 +37,12 @@ __all__ = [
 def results_to_dict(results: Results) -> Dict:
     """Flatten one run's Results into JSON-serializable dicts.
 
-    The ``recovery`` block is present only for recovery-enabled runs,
-    so exports (and the pinned fig4_1 golden checksum) of
-    recovery-disabled runs are unchanged by the subsystem's existence.
+    A block field that is ``None`` (the run had no such subsystem) is
+    left out, so exports (and the pinned fig4_1 golden checksum) of
+    runs without a subsystem are unchanged by its existence.
     """
-    payload = {
-        "simulated_time": results.simulated_time,
-        "committed": results.committed,
-        "aborted": results.aborted,
-        "page_accesses": results.page_accesses,
-        "throughput": results.throughput,
-        "response_time_mean": results.response_time_mean,
-        "response_time_p95": results.response_time_p95,
-        "response_time_max": results.response_time_max,
-        "response_by_type": dict(results.response_by_type),
-        "composition": dict(results.composition),
-        "hit_ratios": dict(results.hit_ratios),
-        "mm_hit_by_tag": dict(results.mm_hit_by_tag),
-        "second_level_hit_by_tag": dict(results.second_level_hit_by_tag),
-        "io_per_tx": dict(results.io_per_tx),
-        "lock_stats": dict(results.lock_stats),
-        "cpu_utilization": results.cpu_utilization,
-        "device_utilization": {
-            name: dict(values)
-            for name, values in results.device_utilization.items()
-        },
-        "saturated": results.saturated,
-        "input_queue_peak": results.input_queue_peak,
-    }
-    if results.recovery is not None:
-        payload["recovery"] = dict(results.recovery)
-    if results.cluster is not None:
-        payload["cluster"] = dict(results.cluster)
-    if results.degraded is not None:
-        payload["degraded"] = dict(results.degraded)
-    if results.latency is not None:
-        payload["latency"] = dict(results.latency)
-    if results.timeseries is not None:
-        payload["timeseries"] = [dict(sample)
-                                 for sample in results.timeseries]
-    return payload
+    return {key: value for key, value in asdict(results).items()
+            if value is not None}
 
 
 def results_from_dict(payload: Dict) -> Results:
@@ -88,8 +55,7 @@ def results_from_dict(payload: Dict) -> Results:
 #: degraded-mode columns report 0.0 for media-disabled runs; the
 #: cluster columns report single-node identities (nodes=1, fractions
 #: and durations 0) for non-cluster runs; the distribution columns
-#: (p50/p99/SLO) fall back to the Results summary statistics when the
-#: run recorded no latency block.
+#: (p50/p99/SLO) are blank when the run recorded no latency block.
 CSV_FIELDS = [
     "experiment", "series", "x", "response_time_ms", "response_p95_ms",
     "throughput_tps", "committed", "aborted", "cpu_utilization",
@@ -100,6 +66,10 @@ CSV_FIELDS = [
     "dollars_per_tps",
     "response_p50_ms", "response_p99_ms", "slo_attainment",
 ]
+
+
+def _ms(seconds: Optional[float]) -> Optional[float]:
+    return None if seconds is None else seconds * 1000.0
 
 
 def experiment_to_rows(result: ExperimentResult) -> List[Dict]:
@@ -133,8 +103,8 @@ def experiment_to_rows(result: ExperimentResult) -> List[Dict]:
                 "commit_phase_ms": r.commit_phase_ms,
                 "in_doubt_time": r.in_doubt_time,
                 "dollars_per_tps": r.dollars_per_tps,
-                "response_p50_ms": r.response_time_p50 * 1000.0,
-                "response_p99_ms": r.response_time_p99 * 1000.0,
+                "response_p50_ms": _ms(r.response_time_p50),
+                "response_p99_ms": _ms(r.response_time_p99),
                 "slo_attainment": r.slo_attainment,
             })
     return rows

@@ -37,6 +37,7 @@ from repro.recovery.crash import (
     RedoGate,
     RestartReplayer,
     RestartStats,
+    degraded_block,
 )
 from repro.recovery.media import (
     MediaManager,
@@ -76,14 +77,12 @@ class RecoveryManager:
         self.checkpointer = Checkpointer(system, self.tracker)
         self.crash_controller = CrashController(
             system, self.tracker, checkpointer=self.checkpointer)
-        # Hook the buffer manager's dirty/clean transitions and tell the
-        # metrics collector to report availability counters.
+        # Hook the buffer manager's dirty/clean transitions.
         system.bm.recovery_tracker = self.tracker
-        system.metrics.recovery_enabled = True
         if system.config.recovery.online_redo:
             # Online redo runs degraded windows even without media
-            # faults; make finalize emit the degraded block.
-            system.metrics.media_enabled = True
+            # faults, so its results carry the degraded block.
+            degraded_block(system)
         self._started = False
 
     def start(self) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Tuple
 
+from repro.recovery.crash import RecoveryBlock
 from repro.recovery.tracker import RecoveryTracker
 from repro.sim import Interrupt
 
@@ -44,6 +45,7 @@ class Checkpointer:
         self.tracker = tracker
         self.interval = system.config.recovery.checkpoint_interval
         self.flush = system.config.recovery.checkpoint_flush
+        self.block = system.metrics.block("recovery", RecoveryBlock)
         self._ticker = None
         #: True while the ticker is inside _checkpoint (record write).
         self._in_checkpoint = False
@@ -94,7 +96,7 @@ class Checkpointer:
         bm = self.system.bm
         lsn = yield from bm.write_checkpoint_record()
         self.tracker.complete_checkpoint(lsn, self.env.now)
-        self.system.metrics.record_checkpoint()
+        self.block.checkpoints += 1
         if not self.flush:
             return
         candidates = self.tracker.flush_candidates()

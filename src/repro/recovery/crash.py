@@ -21,24 +21,157 @@ the *actual* device registry before the gate reopens:
   redo charges CPU only (their content is rebuilt from the scanned
   log).
 
-Down-time (crash to gate-reopen) feeds the availability counters in
-:class:`repro.core.metrics.MetricsCollector`.  Simplifications, chosen
-to keep the device-level timing exact while avoiding kernel surgery:
-background destages that were in flight at the crash are treated as
-surviving (their destinations are non-volatile), and a write-back
-counts as propagated from its start (a crash mid-write-back
-under-counts redo by the in-flight writes).
+Down-time (crash to gate-reopen) is charged to the collector's outage
+window; :class:`RecoveryBlock` turns it into the availability and MTTR
+counters of ``Results.recovery``, and :class:`DegradedBlock` reports
+the degraded windows of online redo and media rebuilds
+(``Results.degraded``).
+
+Simplifications, chosen to keep the device-level timing exact while
+avoiding kernel surgery: background destages that were in flight at
+the crash are treated as surviving (their destinations are
+non-volatile), and a write-back counts as propagated from its start
+(a crash mid-write-back under-counts redo by the in-flight writes).
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 from repro.core.config import MEMORY, NVEM, UpdateStrategy
 from repro.recovery.tracker import CrashSnapshot, RecoveryTracker
 from repro.sim.core import Event
 
-__all__ = ["CrashController", "RedoGate", "RestartReplayer", "RestartStats"]
+__all__ = ["CrashController", "DegradedBlock", "RecoveryBlock", "RedoGate",
+           "RestartReplayer", "RestartStats", "degraded_block"]
+
+
+class RecoveryBlock:
+    """The ``Results.recovery`` block: crashes, checkpoints, MTTR and
+    its breakdown, and availability over the measured window.
+
+    Availability is charged from the collector's outage window, the
+    union of down-intervals, so overlapping multi-node outages count
+    the wall clock once.  MTTR averages the full crash-to-admission
+    durations, including any part before the warm-up boundary.
+    """
+
+    def __init__(self, metrics):
+        self.metrics = metrics
+        self.reset()
+
+    def reset(self) -> None:
+        self.crashes = 0
+        self.checkpoints = 0
+        self.downtime_total = 0.0
+        self.log_pages = 0
+        self.redo_pages = 0
+        self.log_scan_total = 0.0
+        self.redo_total = 0.0
+
+    def record_crash(self, downtime: float, stats: RestartStats,
+                     outage_open: bool = True) -> None:
+        """One crash/restart cycle finished after ``downtime`` seconds.
+
+        Closes the outage interval unless ``outage_open=False``: online
+        redo closes it itself when admission reopens, before the redo
+        pass finishes.
+        """
+        if outage_open:
+            self.metrics.outage.end()
+        self.crashes += 1
+        self.downtime_total += downtime
+        self.log_pages += stats.log_pages
+        self.redo_pages += stats.redo_pages
+        self.log_scan_total += stats.log_scan_time
+        self.redo_total += stats.redo_time
+
+    def finalize(self) -> dict:
+        metrics = self.metrics
+        span = metrics.env.now - metrics.measure_start
+        downtime = metrics.outage.total()
+        availability = 1.0
+        if span > 0:
+            availability = min(1.0, max(0.0, 1.0 - downtime / span))
+        return {
+            "crashes": float(self.crashes),
+            "checkpoints": float(self.checkpoints),
+            "downtime": downtime,
+            "availability": availability,
+            "restart_time_mean": (
+                self.downtime_total / self.crashes if self.crashes else 0.0
+            ),
+            "restart_log_scan_time": self.log_scan_total,
+            "restart_redo_time": self.redo_total,
+            "restart_log_pages": float(self.log_pages),
+            "restart_redo_pages": float(self.redo_pages),
+        }
+
+
+class DegradedBlock:
+    """The ``Results.degraded`` block: the degraded window and the
+    commits delivered in it, transient-fault I/O retries, and media
+    rebuilds (count, MTTR, page counts).
+
+    Retries are the measured-window delta of the media state's own
+    counter (``media_state`` is ``None`` without media faults).
+    """
+
+    def __init__(self, metrics, media_state):
+        self.metrics = metrics
+        self.media_state = media_state
+        self.reset()
+
+    def _retries(self) -> int:
+        state = self.media_state
+        return state.io_retries if state is not None else 0
+
+    def reset(self) -> None:
+        self.retry_base = self._retries()
+        self.recoveries = 0
+        self.mttr_total = 0.0
+        self.mttr_max = 0.0
+        self.restore_pages = 0
+        self.redo_pages = 0
+        self.log_pages = 0
+
+    def record_media_recovery(self, duration: float, stats) -> None:
+        """A lost device finished rebuilding; ``stats`` is a
+        :class:`repro.recovery.media.MediaRecoveryStats`."""
+        self.recoveries += 1
+        self.mttr_total += duration
+        if duration > self.mttr_max:
+            self.mttr_max = duration
+        self.restore_pages += stats.restore_pages
+        self.redo_pages += stats.redo_pages
+        self.log_pages += stats.log_pages
+
+    def finalize(self) -> dict:
+        window = self.metrics.degraded.total()
+        commits = self.metrics.degraded_commits
+        return {
+            "degraded_window": window,
+            "degraded_commits": float(commits),
+            "degraded_tps": commits / window if window > 0 else 0.0,
+            "io_retries": float(self._retries() - self.retry_base),
+            "media_recoveries": float(self.recoveries),
+            "media_mttr_mean": (
+                self.mttr_total / self.recoveries if self.recoveries
+                else 0.0
+            ),
+            "media_mttr_max": self.mttr_max,
+            "media_restore_pages": float(self.restore_pages),
+            "media_redo_pages": float(self.redo_pages),
+            "media_log_pages": float(self.log_pages),
+        }
+
+
+def degraded_block(system) -> DegradedBlock:
+    """``system``'s degraded block; media faults and online redo share
+    the one instance."""
+    return system.metrics.block(
+        "degraded",
+        lambda metrics: DegradedBlock(metrics, system.storage.media_state))
 
 
 class RedoGate:
@@ -112,18 +245,14 @@ class RestartReplayer:
     def replay(self, snapshot: CrashSnapshot) -> Generator:
         """Run the restart; returns a :class:`RestartStats`."""
         stats = RestartStats()
-        tracer = getattr(self.system, "tracer", None)
-        scan_start = self.env.now
-        yield from self._scan_log(snapshot, stats)
-        stats.log_scan_time = self.env.now - scan_start
-        if tracer is not None:
-            tracer.span("restart.scan", None, scan_start, self.env.now)
-        redo_start = self.env.now
-        yield from self._redo(snapshot, stats)
-        stats.redo_time = self.env.now - redo_start
-        if tracer is not None:
-            tracer.span("restart.redo", None, redo_start, self.env.now)
+        yield from self.scan(snapshot, stats)
+        yield from self.redo(snapshot, stats)
         return stats
+
+    def _span(self, name: str, start: float) -> None:
+        tracer = getattr(self.system, "tracer", None)
+        if tracer is not None:
+            tracer.span(name, None, start, self.env.now)
 
     # -- log scan --------------------------------------------------------
     def _scan_pages(self, snapshot: CrashSnapshot) -> int:
@@ -142,8 +271,10 @@ class RestartReplayer:
             return min(to_scan, snapshot.in_flight + 1)
         return to_scan
 
-    def _scan_log(self, snapshot: CrashSnapshot,
-                  stats: RestartStats) -> Generator:
+    def scan(self, snapshot: CrashSnapshot,
+             stats: RestartStats) -> Generator:
+        """The log scan pass."""
+        start = self.env.now
         system = self.system
         cm = system.config.cm
         pages = self._scan_pages(snapshot)
@@ -162,6 +293,8 @@ class RestartReplayer:
                 yield from system.storage.read_log_from_unit(page_no)
             stats.log_pages += 1
             system.metrics.record_io("restart_log_read")
+        stats.log_scan_time = self.env.now - start
+        self._span("restart.scan", start)
 
     # -- redo ------------------------------------------------------------
     def _redo_one(self, key, cm, redo_instr: float) -> Generator:
@@ -210,24 +343,21 @@ class RestartReplayer:
             system.metrics.record_io("restart_redo_read")
             system.metrics.record_io("restart_redo_write")
 
-    def _redo(self, snapshot: CrashSnapshot,
-              stats: RestartStats) -> Generator:
+    def redo(self, snapshot: CrashSnapshot, stats: RestartStats,
+             gate: Optional[RedoGate] = None) -> Generator:
+        """The redo pass.  With a ``gate`` (online redo, admission
+        open) each page is released to waiting transactions the moment
+        its records are re-applied."""
+        start = self.env.now
         cm = self.system.config.cm
         redo_instr = self.system.config.recovery.redo_instr
         for key in snapshot.dirty_pages:
             yield from self._redo_one(key, cm, redo_instr)
             stats.redo_pages += 1
-
-    def redo_online(self, snapshot: CrashSnapshot, stats: RestartStats,
-                    gate: RedoGate) -> Generator:
-        """The redo pass with admission open: each page is released to
-        waiting transactions the moment its records are re-applied."""
-        cm = self.system.config.cm
-        redo_instr = self.system.config.recovery.redo_instr
-        for key in snapshot.dirty_pages:
-            yield from self._redo_one(key, cm, redo_instr)
-            stats.redo_pages += 1
-            gate.page_done(key)
+            if gate is not None:
+                gate.page_done(key)
+        stats.redo_time = self.env.now - start
+        self._span("restart.redo", start)
 
 
 class CrashController:
@@ -242,6 +372,7 @@ class CrashController:
         #: CM instead of contending with the restart replay.
         self.checkpointer = checkpointer
         self.replayer = RestartReplayer(system, tracker)
+        self.block = system.metrics.block("recovery", RecoveryBlock)
         #: Restart breakdowns, most recent last (introspection/tests).
         self.restarts = []
 
@@ -264,7 +395,7 @@ class CrashController:
         system = self.system
         crashed_at = self.env.now
         # 1. The gate shuts: nothing new is admitted until restart ends.
-        system.metrics.note_outage_start()
+        system.metrics.outage.start()
         system.tm.take_offline()
         # 2. Volatile state is lost: in-flight transactions (and any
         #    checkpoint in progress) die, the buffer is discarded.
@@ -295,7 +426,7 @@ class CrashController:
             # 3. Restart replay through the real devices.
             stats = yield from self.replayer.replay(snapshot)
             self.restarts.append(stats)
-            system.metrics.record_crash(self.env.now - crashed_at, stats)
+            self.block.record_crash(self.env.now - crashed_at, stats)
             # 4. Reopen for business.
             system.tm.go_online()
             return
@@ -304,27 +435,18 @@ class CrashController:
         #    transactions in flight, gated per page.  Down-time is the
         #    crash-to-admission window only.
         stats = RestartStats()
-        tracer = getattr(system, "tracer", None)
-        scan_start = self.env.now
-        yield from self.replayer._scan_log(snapshot, stats)
-        stats.log_scan_time = self.env.now - scan_start
-        if tracer is not None:
-            tracer.span("restart.scan", None, scan_start, self.env.now)
+        yield from self.replayer.scan(snapshot, stats)
         gate = RedoGate(self.env, snapshot.dirty_pages)
         system.bm.redo_gate = gate
-        system.metrics.note_outage_end()
+        system.metrics.outage.end()
         downtime = self.env.now - crashed_at
         system.tm.go_online()
-        system.metrics.note_degraded_start()
-        redo_start = self.env.now
+        system.metrics.degraded.start()
         try:
-            yield from self.replayer.redo_online(snapshot, stats, gate)
+            yield from self.replayer.redo(snapshot, stats, gate)
         finally:
             system.bm.redo_gate = None
             gate.close()
-            system.metrics.note_degraded_end()
-        stats.redo_time = self.env.now - redo_start
-        if tracer is not None:
-            tracer.span("restart.redo", None, redo_start, self.env.now)
+            system.metrics.degraded.end()
         self.restarts.append(stats)
-        system.metrics.record_crash(downtime, stats, outage_open=False)
+        self.block.record_crash(downtime, stats, outage_open=False)

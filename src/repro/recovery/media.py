@@ -41,6 +41,7 @@ from repro.core.config import (
     MEMORY,
     NVEM,
 )
+from repro.recovery.crash import degraded_block
 from repro.sim.core import Event
 from repro.storage.faults import MediaUnrecoverableError
 
@@ -332,10 +333,9 @@ class MediaManager:
         #: Completed rebuild breakdowns, earliest first.
         self.recoveries: List[MediaRecoveryStats] = []
         self._started = False
-        # The degraded-metrics block is emitted whenever the media
-        # subsystem is on (all-zero for an empty schedule).
-        system.metrics.media_enabled = True
-        self.state.metrics = system.metrics
+        # The degraded block is emitted whenever the media subsystem is
+        # on (all-zero for an empty schedule).
+        self.block = degraded_block(system)
         self._loss_faults = sorted(
             (fault for fault in self.config.media.faults
              if fault.kind == "loss"),
@@ -373,7 +373,7 @@ class MediaManager:
             self._apply_loss(fault.device)
 
     def _apply_loss(self, device: str) -> None:
-        metrics = self.system.metrics
+        degraded = self.system.metrics.degraded
         if device in (LOG_COPY_PRIMARY, LOG_COPY_MIRROR):
             copy_index = 0 if device == LOG_COPY_PRIMARY else 1
             if not self.config.recovery.log_mirror:
@@ -384,35 +384,27 @@ class MediaManager:
                 raise MediaUnrecoverableError(
                     "both copies of the mirrored log are lost")
             self.state.lost_log_copies.add(copy_index)
-            metrics.note_degraded_start()
+            degraded.start()
             stats = MediaRecoveryStats(device, self.env.now)
-            self.env.process(self._rebuild_log_copy(copy_index, stats))
+            self.env.process(self._rebuild(
+                self.recoverer.recover_log_copy(copy_index, stats), stats))
             return
         if device == self.config.log.device:
             raise MediaUnrecoverableError(
                 f"log device {device!r} lost: a single-copy disk log "
                 "has no media-recovery path")
         self.state.mark_lost(device)
-        metrics.note_degraded_start()
+        degraded.start()
         stats = MediaRecoveryStats(device, self.env.now)
-        self.env.process(self._rebuild_device(device, stats))
+        self.env.process(self._rebuild(
+            self.recoverer.recover_device(device, stats), stats))
 
-    def _rebuild_device(self, device: str,
-                        stats: MediaRecoveryStats) -> Generator:
-        metrics = self.system.metrics
+    def _rebuild(self, recovery: Generator,
+                 stats: MediaRecoveryStats) -> Generator:
+        """Run one rebuild to the end of its degraded window."""
         try:
-            yield from self.recoverer.recover_device(device, stats)
+            yield from recovery
         finally:
-            metrics.note_degraded_end()
-        metrics.record_media_recovery(stats.duration, stats)
-        self.recoveries.append(stats)
-
-    def _rebuild_log_copy(self, copy_index: int,
-                          stats: MediaRecoveryStats) -> Generator:
-        metrics = self.system.metrics
-        try:
-            yield from self.recoverer.recover_log_copy(copy_index, stats)
-        finally:
-            metrics.note_degraded_end()
-        metrics.record_media_recovery(stats.duration, stats)
+            self.system.metrics.degraded.end()
+        self.block.record_media_recovery(stats.duration, stats)
         self.recoveries.append(stats)

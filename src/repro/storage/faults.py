@@ -75,8 +75,6 @@ class MediaState:
         #: retry counters (total and per device)
         self.io_retries = 0
         self.retries_by_device: Dict[str, int] = {}
-        #: metrics sink, attached by the model wiring (may stay None)
-        self.metrics = None
         self._progress: Optional[Event] = None
 
     # -- schedule queries --------------------------------------------------
@@ -132,8 +130,6 @@ class MediaState:
         self.io_retries += 1
         self.retries_by_device[device] = \
             self.retries_by_device.get(device, 0) + 1
-        if self.metrics is not None:
-            self.metrics.record_io_retry()
 
 
 class _RetryMixin:

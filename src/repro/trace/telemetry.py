@@ -4,9 +4,12 @@
 every ``interval`` simulated seconds and appends one gauge record to a
 bounded in-memory series — commits/TPS, buffer hit ratio, lock-queue
 depth, input-queue length, CPU and device utilization, and whether the
-system is currently in an outage or degraded window.  The finalized
-series lands in ``Results.timeseries`` (and from there in the JSON
-export and the run journal, where ``repro watch`` can sparkline it).
+system is currently in an outage or degraded window.  The sampler is
+the collector's ``timeseries`` block: it resets at the warm-up
+boundary, and its finalized series lands in ``Results.timeseries``
+(and from there in the JSON export and the run journal, where
+``repro watch`` can sparkline it).  :class:`LatencyBlock` is the
+``latency`` block.
 
 The sampler only *reads* state — it draws no random variates and
 mutates nothing — so enabling it does not change what the simulation
@@ -23,7 +26,32 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List
 
-__all__ = ["TelemetrySampler"]
+__all__ = ["LatencyBlock", "TelemetrySampler"]
+
+
+class LatencyBlock:
+    """The ``Results.latency`` block: response-time percentiles and the
+    share of commits inside the collector's SLO threshold."""
+
+    def __init__(self, metrics):
+        self.metrics = metrics
+
+    def reset(self) -> None:
+        """Nothing of its own: it reads the collector's counters."""
+
+    def finalize(self) -> Dict[str, float]:
+        metrics = self.metrics
+        response = metrics.response
+        return {
+            "p50": response.percentile(50),
+            "p95": response.percentile(95),
+            "p99": response.percentile(99),
+            "slo_ms": metrics.slo_threshold * 1000.0,
+            "slo_attainment": (
+                metrics.slo_ok / metrics.committed
+                if metrics.committed else 1.0
+            ),
+        }
 
 
 class TelemetrySampler:
@@ -49,7 +77,7 @@ class TelemetrySampler:
         self.dropped = 0
         self._prev_committed = self.system.metrics.committed
 
-    def snapshot(self) -> List[Dict]:
+    def finalize(self) -> List[Dict]:
         return list(self.samples)
 
     # -- sampling ---------------------------------------------------------
@@ -94,8 +122,8 @@ class TelemetrySampler:
             "mm_hit": mm_hit,
             "cpu_util": cpu_util,
             "util": util,
-            "outage": 1 if metrics._outages_open else 0,
-            "degraded": 1 if metrics._degraded_open else 0,
+            "outage": 1 if metrics.outage.open else 0,
+            "degraded": 1 if metrics.degraded.open else 0,
         }
 
     def _run(self) -> Generator:

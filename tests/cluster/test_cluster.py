@@ -247,7 +247,7 @@ class TestTwoPhaseAbort:
         assert system._pending == {} and system.decisions == {}
         metrics = system.metrics
         assert metrics.committed == 2
-        assert metrics.distributed_commits == 1
+        assert system.twopc.distributed_commits == 1
         in_flight = sum(node.tm.active for node in system.nodes)
         terminal_aborts = metrics.aborted - metrics.restarts
         assert system.tm.submitted == \

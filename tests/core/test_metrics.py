@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.metrics import MetricsCollector, Results
+from repro.recovery.crash import RecoveryBlock
 from repro.core.transaction import Transaction
 from repro.sim import Environment
 
@@ -39,16 +40,6 @@ class TestCollector:
         assert m.composition_totals["cpu_wait"] == pytest.approx(0.01)
         assert m.composition_totals["cpu_service"] == pytest.approx(0.02)
         assert m.composition_totals["lock_wait"] == pytest.approx(0.03)
-
-    def test_inactive_collector_ignores_events(self):
-        env = Environment()
-        m = MetricsCollector(env)
-        m.active = False
-        m.record_commit(make_tx(), 0.05)
-        m.record_page_access("p", "main_memory")
-        m.record_io("db_read")
-        assert m.committed == 0
-        assert m.page_access.total() == 0
 
     def test_reset_clears_everything(self):
         env = Environment()
@@ -163,7 +154,7 @@ class TestRecoveryCounters:
     def test_enabled_but_crash_free_reports_full_availability(self):
         env = Environment()
         m = MetricsCollector(env)
-        m.recovery_enabled = True
+        m.block("recovery", RecoveryBlock)
         env.run(until=10.0)
         rec = m.finalize(0.0, {}).recovery
         assert rec["crashes"] == 0.0
@@ -173,12 +164,12 @@ class TestRecoveryCounters:
     def test_crash_accumulates_downtime_and_breakdown(self):
         env = Environment()
         m = MetricsCollector(env)
-        m.recovery_enabled = True
-        m.record_checkpoint()
+        block = m.block("recovery", RecoveryBlock)
+        block.checkpoints += 1
         env.run(until=4.0)
-        m.note_outage_start()
+        m.outage.start()
         env.run(until=7.0)
-        m.record_crash(3.0, _FakeRestartStats())
+        block.record_crash(3.0, _FakeRestartStats())
         env.run(until=10.0)
         rec = m.finalize(0.0, {}).recovery
         assert rec["crashes"] == 1.0
@@ -194,11 +185,11 @@ class TestRecoveryCounters:
     def test_open_outage_charged_and_clipped_to_window(self):
         env = Environment()
         m = MetricsCollector(env)
-        m.recovery_enabled = True
+        m.block("recovery", RecoveryBlock)
         env.run(until=4.0)
         m.reset()  # warm-up boundary at t=4
         env.run(until=6.0)
-        m.note_outage_start()
+        m.outage.start()
         env.run(until=10.0)
         rec = m.finalize(0.0, {}).recovery
         assert rec["crashes"] == 0.0
@@ -211,13 +202,13 @@ class TestRecoveryCounters:
         the true restart duration."""
         env = Environment()
         m = MetricsCollector(env)
-        m.recovery_enabled = True
+        block = m.block("recovery", RecoveryBlock)
         env.run(until=8.0)
-        m.note_outage_start()
+        m.outage.start()
         env.run(until=10.0)
         m.reset()  # warm-up boundary at t=10, restart still running
         env.run(until=13.0)
-        m.record_crash(5.0, _FakeRestartStats())
+        block.record_crash(5.0, _FakeRestartStats())
         env.run(until=20.0)
         rec = m.finalize(0.0, {}).recovery
         # Only t=10..13 of the 5 s restart fell inside the window.
@@ -228,10 +219,10 @@ class TestRecoveryCounters:
     def test_reset_clears_recovery_counters(self):
         env = Environment()
         m = MetricsCollector(env)
-        m.recovery_enabled = True
-        m.record_checkpoint()
-        m.note_outage_start()
-        m.record_crash(3.0, _FakeRestartStats())
+        block = m.block("recovery", RecoveryBlock)
+        block.checkpoints += 1
+        m.outage.start()
+        block.record_crash(3.0, _FakeRestartStats())
         m.reset()
         env.run(until=10.0)
         rec = m.finalize(0.0, {}).recovery
@@ -242,9 +233,9 @@ class TestRecoveryCounters:
     def test_summary_includes_availability_line(self):
         env = Environment()
         m = MetricsCollector(env)
-        m.recovery_enabled = True
-        m.note_outage_start()
-        m.record_crash(2.0, _FakeRestartStats())
+        block = m.block("recovery", RecoveryBlock)
+        m.outage.start()
+        block.record_crash(2.0, _FakeRestartStats())
         env.run(until=10.0)
         text = m.finalize(0.0, {}).summary()
         assert "availability" in text

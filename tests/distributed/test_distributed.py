@@ -129,13 +129,6 @@ class TestGEM:
         gem.install(("k", 1), dirty=True)
         assert gem.install(("k", 2), dirty=False) is None
 
-    def test_invalidate_clean_only(self):
-        _, gem = self.make()
-        entry = gem.install(("k", 1), dirty=True)
-        assert not gem.invalidate(("k", 1))  # dirty: disk not yet current
-        gem.mark_clean(("k", 1), entry)
-        assert gem.invalidate(("k", 1))
-
     def test_capacity_validation(self):
         env = Environment()
         device = NVEMDevice(env, RandomStreams(1), NVEMConfig())

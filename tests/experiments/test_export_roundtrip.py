@@ -197,11 +197,11 @@ class TestResultsRoundTrip:
         assert rows[0]["response_p50_ms"] == pytest.approx(30.0)
         assert rows[0]["response_p99_ms"] == pytest.approx(120.0)
         assert rows[0]["slo_attainment"] == 0.97
-        # Without the latency block the columns fall back to the
-        # summary statistics instead of blanks.
-        assert rows[1]["response_p50_ms"] == pytest.approx(40.0)
-        assert rows[1]["response_p99_ms"] == pytest.approx(80.0)
-        assert rows[1]["slo_attainment"] == 1.0
+        # Without the latency block the columns are blank: the
+        # distribution was not measured, so nothing is guessed.
+        assert rows[1]["response_p50_ms"] is None
+        assert rows[1]["response_p99_ms"] is None
+        assert rows[1]["slo_attainment"] is None
 
 
 def recovery_experiment() -> ExperimentResult:

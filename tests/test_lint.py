@@ -10,6 +10,9 @@ suite: any parameter whose default is ``None`` must have an
 A second check keeps the transaction manager's execute loop single:
 one function runs the per-reference lock/fix loop and one the
 deadlock-restart loop, with every commit protocol as a hook on them.
+
+A third keeps the metrics collector subsystem-agnostic: recovery,
+cluster and observability accounting live in their own Results blocks.
 """
 
 import ast
@@ -111,3 +114,55 @@ def test_one_transaction_execute_loop():
                          if f in ref_loops], ref_loops
     restart_loops = _callers("reset_for_restart")
     assert len(restart_loops) == 1, restart_loops
+
+
+#: Packages that own a Results block, and the fields those blocks fill.
+_BLOCK_OWNERS = ("repro.recovery", "repro.cluster", "repro.trace")
+_BLOCK_FIELDS = {"recovery", "cluster", "degraded", "latency", "timeseries"}
+
+
+def _is_metrics(node: ast.expr) -> bool:
+    """``metrics`` or ``<anything>.metrics``."""
+    return (isinstance(node, ast.Name) and node.id == "metrics") or \
+        (isinstance(node, ast.Attribute) and node.attr == "metrics")
+
+
+def test_metrics_collector_knows_no_subsystem():
+    """Each subsystem registers its own Results block
+    (``MetricsCollector.block``): the collector imports none of those
+    packages, passes none of their fields by name, and no module
+    switches the collector with an ``*_enabled`` flag."""
+    tree = ast.parse((SRC / "core" / "metrics.py").read_text(
+        encoding="utf-8"))
+    imported = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    imported += [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names]
+    assert not [name for name in imported
+                if name.startswith(_BLOCK_OWNERS)], imported
+
+    collector = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "MetricsCollector")
+    finalize = next(node for node in collector.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "finalize")
+    keywords = {kw.arg for node in ast.walk(finalize)
+                if isinstance(node, ast.Call) for kw in node.keywords}
+    assert not keywords & _BLOCK_FIELDS, sorted(keywords & _BLOCK_FIELDS)
+
+    flags = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            flags += [f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+                      for target in targets
+                      if isinstance(target, ast.Attribute)
+                      and target.attr.endswith("_enabled")
+                      and _is_metrics(target.value)]
+    assert not flags, flags
