@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.metrics import MetricsCollector, Results
-from repro.recovery.crash import RecoveryBlock
 from repro.core.transaction import Transaction
+from repro.recovery.crash import RecoveryBlock
 from repro.sim import Environment
 
 

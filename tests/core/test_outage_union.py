@@ -11,6 +11,7 @@ from repro.core.metrics import MetricsCollector
 from repro.recovery.crash import RecoveryBlock, RestartStats
 from repro.sim import Environment
 
+
 def outage_start(m):
     m.outage.start()
 
