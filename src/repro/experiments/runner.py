@@ -23,6 +23,7 @@ process or through its process pool, and is the only caller of
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -149,21 +150,34 @@ def _evaluate_point(task: Tuple, configure: Optional[Callable] = None,
     ``configure(config)`` returns the config actually built and
     ``observe(task, system, results)`` sees the live system after the
     run (the runner's in-process hooks; pool workers get neither).
+
+    Cyclic GC stays off for the point; teardown drops the system and
+    collects generation 0, then generation 1 (what closing leftover
+    generators resurrects).  The caller's GC state is restored.
     """
     x, config, workload, warmup, duration, seed = task
     if configure is not None:
         config = configure(config)
-    builder = getattr(config, "build_system", None)
-    if builder is not None:
-        # Configs owning system construction (e.g. ClusterConfig)
-        # build their own runnable system for the point.
-        system = builder(workload, seed=seed)
-    else:
-        system = TransactionSystem(config, workload, seed=seed)
-    results = system.run(warmup=warmup, duration=duration)
-    if observe is not None:
-        observe(task, system, results)
-    return results
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        builder = getattr(config, "build_system", None)
+        if builder is not None:
+            # Configs owning system construction (e.g. ClusterConfig)
+            # build their own runnable system for the point.
+            system = builder(workload, seed=seed)
+        else:
+            system = TransactionSystem(config, workload, seed=seed)
+        results = system.run(warmup=warmup, duration=duration)
+        if observe is not None:
+            observe(task, system, results)
+        return results
+    finally:
+        system = None
+        gc.collect(0)
+        gc.collect(1)
+        if enabled:
+            gc.enable()
 
 
 def _append_point(series: Series, x: float, results: Results) -> bool:

@@ -338,11 +338,13 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
+                self._resume_cb = None
                 env.schedule(self)
                 return
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
+                self._resume_cb = None
                 env.schedule(self)
                 return
 
@@ -358,6 +360,7 @@ class Process(Event):
                 )
                 self._ok = False
                 self._value = exc
+                self._resume_cb = None
                 env.schedule(self)
                 return
 

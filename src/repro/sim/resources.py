@@ -353,6 +353,8 @@ class Resource:
         if request.cancelled:
             raise SimulationError("releasing a cancelled request")
         request.cancelled = True  # guard against double release
+        # A grant's value is the request itself: drop that self-cycle.
+        request._value = None
         self.release_claim()
 
     def release_claim(self) -> None:

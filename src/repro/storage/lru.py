@@ -170,6 +170,9 @@ class LRUCache:
         return list(self._map.keys())
 
     def clear(self) -> None:
+        # Unlink the dropped entries so they die by reference counting.
+        for entry in self._map.values():
+            entry._prev = entry._next = None
         self._map.clear()
         self._head._next = self._tail
         self._tail._prev = self._head

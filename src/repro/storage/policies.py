@@ -224,6 +224,9 @@ class ClockPolicy(ReplacementPolicy):
         return iter(result)
 
     def clear(self) -> None:
+        # Unlink the ring so the dropped entries die by reference counting.
+        for entry in self._map.values():
+            entry._prev = entry._next = None
         self._map.clear()
         self._hand = None
 

@@ -17,6 +17,11 @@ from repro.experiments import api
 from repro.experiments.api import ExperimentRunner
 from repro.experiments.export import experiment_to_dict
 from repro.experiments.store import ResultStore
+from repro.experiments.trace_setup import (
+    trace_config,
+    trace_for,
+    trace_workload,
+)
 from repro.workload.debit_credit import DebitCreditWorkload
 from tests.experiments.conftest import make_tiny_spec, tiny_config
 
@@ -146,6 +151,36 @@ class TestUncacheable:
             second = canonical(runner.run_one(spec, profile="fast"))
         assert second == first
         assert runner.last_stats.uncacheable == runner.last_stats.total
+
+
+def trace_point_spec() -> api.ExperimentSpec:
+    """One fig4_6 trace point: an NVEM second-level cache, MM=250."""
+    def build(mm):
+        trace = trace_for(True)
+        return trace_config(trace, "nvem", int(mm)), trace_workload(trace)
+
+    profile = api.SweepProfile(xs=(250.0,), warmup=1.0, duration=2.0)
+    return api.ExperimentSpec(
+        id="_trace_point", title="one trace point",
+        x_label="MM buffer (pages)", y_label="mean response time (ms)",
+        curves=[api.CurveSpec(label="NVEM cache 2000", build=build)],
+        profiles={"full": profile, "fast": profile})
+
+
+class TestTracePointRoundTrip:
+    def test_trace_point_served_from_store(self, tmp_path):
+        """A trace-workload point fingerprints (trace content and replay
+        parameters), is stored cold and served warm, byte-identical to
+        an uncached run."""
+        spec = trace_point_spec()
+        _, plain = run_with(None, spec)
+        store = ResultStore(str(tmp_path))
+        cold_runner, cold = run_with(store, spec)
+        warm_runner, warm = run_with(store, spec)
+        assert plain == cold == warm
+        assert cold_runner.last_stats.misses == 1
+        assert cold_runner.last_stats.uncacheable == 0
+        assert warm_runner.last_stats.hits == warm_runner.last_stats.total == 1
 
 
 class TestDirectPathUntouched:
