@@ -23,10 +23,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import zip_longest
 from typing import List, Optional
 
-from repro.core.config import PolicySpec, UpdateStrategy
-from repro.core.model import TransactionSystem
+from repro.core.config import DeviceFault, PolicySpec, UpdateStrategy
+from repro.core.model import check_run_window
 from repro.experiments import api
 from repro.experiments.defaults import (
     battery_dram_resident,
@@ -39,6 +40,7 @@ from repro.experiments.defaults import (
     nvem_write_buffer,
     ssd_resident,
 )
+from repro.experiments.runner import _evaluate_point
 from repro.storage.registry import device_kinds, policy_kinds
 from repro.workload.debit_credit import DebitCreditWorkload
 
@@ -60,6 +62,24 @@ SCHEMES = {
 POLICIES = tuple(policy_kinds())
 
 
+#: --duration/--warmup help of ``run`` and ``cluster``.
+_WINDOW_HELP = ("measured simulated seconds (default: 10)",
+                "warm-up simulated seconds (default: 3)")
+
+
+def _add_point_options(parser, rate: float, duration: Optional[float],
+                       warmup: Optional[float] = None, helps=()) -> None:
+    """Add the one-off commands' shared --rate, --duration, --warmup
+    (unless ``warmup`` is None) and --seed, with per-command defaults
+    and ``helps`` texts in that order."""
+    options = {"--rate": rate, "--duration": duration}
+    if warmup is not None:
+        options["--warmup"] = warmup
+    for (flag, default), text in zip_longest(options.items(), helps):
+        parser.add_argument(flag, type=float, default=default, help=text)
+    parser.add_argument("--seed", type=int, default=1)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -71,12 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one Debit-Credit simulation")
     run.add_argument("--scheme", choices=sorted(SCHEMES), default="disk",
                      help="storage allocation (default: disk)")
-    run.add_argument("--rate", type=float, default=300.0,
-                     help="arrival rate in TPS (default: 300)")
-    run.add_argument("--duration", type=float, default=10.0,
-                     help="measured simulated seconds (default: 10)")
-    run.add_argument("--warmup", type=float, default=3.0,
-                     help="warm-up simulated seconds (default: 3)")
+    _add_point_options(run, 300.0, 10.0, 3.0, (
+        "arrival rate in TPS (default: 300)", *_WINDOW_HELP))
     run.add_argument("--buffer-size", type=int, default=2000,
                      help="main-memory buffer frames (default: 2000)")
     run.add_argument("--force", action="store_true",
@@ -84,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mm-policy", choices=POLICIES, default="lru",
                      help="main-memory buffer replacement policy "
                           "(default: lru, as in the paper)")
-    run.add_argument("--seed", type=int, default=1)
 
     exp = sub.add_parser(
         "experiment",
@@ -188,21 +203,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rec.add_argument("--scheme", choices=sorted(SCHEMES), default="disk",
                      help="storage allocation (default: disk)")
-    rec.add_argument("--rate", type=float, default=50.0,
-                     help="arrival rate in TPS (default: 50)")
+    _add_point_options(rec, 50.0, None, 2.0, (
+        "arrival rate in TPS (default: 50)",
+        "measured simulated seconds (default: sized to cover crash + "
+        "restart)"))
     rec.add_argument("--interval", type=float, default=8.0,
                      help="fuzzy-checkpoint interval in s (default: 8)")
     rec.add_argument("--crash-at", type=float, default=None,
                      help="crash instant in s (default: 1.5 * interval, "
                           "i.e. half an interval after a checkpoint — "
                           "the analytic model's expected exposure)")
-    rec.add_argument("--duration", type=float, default=None,
-                     help="measured simulated seconds (default: sized to "
-                          "cover crash + restart)")
-    rec.add_argument("--warmup", type=float, default=2.0)
     rec.add_argument("--force", action="store_true",
                      help="use the FORCE update strategy")
-    rec.add_argument("--seed", type=int, default=1)
     rec.add_argument("--media", action="store_true",
                      help="media-failure mode: lose a device mid-run and "
                           "rebuild it from the archive copy + log scan "
@@ -229,8 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="number of computing modules (default: 4)")
     clu.add_argument("--log", choices=("nvem", "disk"), default="nvem",
                      help="per-node log placement (default: nvem)")
-    clu.add_argument("--rate", type=float, default=50.0,
-                     help="arrival rate per node in TPS (default: 50)")
+    _add_point_options(clu, 50.0, 10.0, 3.0, (
+        "arrival rate per node in TPS (default: 50)", *_WINDOW_HELP))
     clu.add_argument("--dist", type=float, default=0.15,
                      help="fraction of transactions touching a remote "
                           "account, committed via 2PC (default: 0.15)")
@@ -246,11 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--interval", type=float, default=10.0,
                      help="per-node fuzzy-checkpoint interval in s "
                           "(default: 10)")
-    clu.add_argument("--duration", type=float, default=10.0,
-                     help="measured simulated seconds (default: 10)")
-    clu.add_argument("--warmup", type=float, default=3.0,
-                     help="warm-up simulated seconds (default: 3)")
-    clu.add_argument("--seed", type=int, default=1)
 
     sub.add_parser("registry",
                    help="list registered device kinds and replacement "
@@ -341,30 +348,58 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="main-memory buffer frames (default: 1000)")
     trun.add_argument("--second", type=int, default=2000,
                       help="second-level cache pages (default: 2000)")
-    trun.add_argument("--rate", type=float, default=25.0)
-    trun.add_argument("--duration", type=float, default=30.0)
-    trun.add_argument("--seed", type=int, default=1)
+    _add_point_options(trun, 25.0, 30.0)
     return parser
 
 
-def _cmd_run(args) -> int:
+def _one_off(build):
+    """The command that runs ``build(args)``'s ``(header, (config,
+    workload, warmup, duration, seed), observe)`` through the
+    sweep-point path: it prints the header, the summary and the extras
+    of ``observe(system, results)``, which may return the exit code.
+    A ``ValueError`` while building or validating exits 2; one raised
+    by the simulation keeps its traceback."""
+    def command(args) -> int:
+        try:
+            header, task, observe = build(args)
+            config, _, warmup, duration, _ = task
+            config.validate()
+            check_run_window(config, 0.0, warmup, duration)
+        except ValueError as exc:
+            print(f"error: {exc} (repro {' '.join(args.argv)})",
+                  file=sys.stderr)
+            return 2
+        codes = []
+
+        def report(_task, system, results) -> None:
+            print(header)
+            print(results.summary())
+            codes.append(observe(system, results) if observe else 0)
+
+        _evaluate_point((None,) + task, observe=report)
+        return codes[0] or 0
+    return command
+
+
+def _debit_credit(args, duration: Optional[float] = None, **overrides):
+    """The Debit-Credit task of ``--scheme``/``--force``/``--rate``;
+    ``duration`` stands in for an unset ``--duration``."""
     strategy = UpdateStrategy.FORCE if args.force else \
         UpdateStrategy.NOFORCE
-    scheme = SCHEMES[args.scheme]()
-    scheme.mm_policy = PolicySpec(kind=args.mm_policy)
-    config = debit_credit_config(
-        scheme, update_strategy=strategy,
-        buffer_size=args.buffer_size,
-    )
-    system = TransactionSystem(
-        config, DebitCreditWorkload(arrival_rate=args.rate),
-        seed=args.seed,
-    )
-    results = system.run(warmup=args.warmup, duration=args.duration)
-    print(f"scheme={args.scheme} strategy={strategy.value} "
-          f"rate={args.rate:g} TPS")
-    print(results.summary())
-    return 0
+    config = debit_credit_config(SCHEMES[args.scheme](),
+                                 update_strategy=strategy, **overrides)
+    return (config, DebitCreditWorkload(arrival_rate=args.rate), args.warmup,
+            duration if args.duration is None else args.duration, args.seed)
+
+
+@_one_off
+def _cmd_run(args):
+    """Run one Debit-Credit simulation."""
+    task = _debit_credit(args, buffer_size=args.buffer_size)
+    task[0].cm.mm_policy = PolicySpec(kind=args.mm_policy)
+    return (f"scheme={args.scheme} "
+            f"strategy={task[0].cm.update_strategy.value} "
+            f"rate={args.rate:g} TPS"), task, None
 
 
 def _cmd_experiment_list(args) -> int:
@@ -534,146 +569,84 @@ def _cmd_watch(args) -> int:
         return 130
 
 
-def _cmd_recovery_media(args) -> int:
+def _cmd_recovery_media(args):
     """Lose a device mid-run and rebuild it through the real devices."""
-    from repro.core.config import DeviceFault
-
-    if args.lose_at <= args.warmup:
-        print("error: the loss must fall inside the measured window "
-              f"(loss at {args.lose_at:g} s <= warmup {args.warmup:g} s)",
-              file=sys.stderr)
-        return 2
-    config = debit_credit_config(SCHEMES[args.scheme]())
-    config.media.enabled = True
-    config.media.faults = (
-        DeviceFault(device=args.lose, time=args.lose_at, kind="loss"),
-    )
-    config.media.archive_interval = args.archive_interval
+    task = _debit_credit(args, max(40.0, 4.0 * args.lose_at))
+    media = task[0].media
+    media.enabled = True
+    media.faults = (DeviceFault(device=args.lose, time=args.lose_at),)
+    media.archive_interval = args.archive_interval
     # Coarser restore extents keep the multi-million-page rebuild
     # inside a short smoke window without changing its shape.
-    config.media.archive_batch_pages = 4096
-    config.recovery.log_mirror = args.mirror
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    duration = args.duration if args.duration is not None \
-        else max(40.0, 4.0 * args.lose_at)
-    system = TransactionSystem(
-        config, DebitCreditWorkload(arrival_rate=args.rate),
-        seed=args.seed,
-    )
-    results = system.run(warmup=args.warmup, duration=duration)
-    print(f"scheme={args.scheme} rate={args.rate:g} TPS "
-          f"lose {args.lose} at {args.lose_at:g} s "
-          f"(archive every {args.archive_interval:g} s"
-          f"{', mirrored log' if args.mirror else ''})")
-    print(results.summary())
-    for stats in system.media.recoveries:
-        print(stats.summary())
-    if not system.media.recoveries or results.media_mttr_mean <= 0:
-        print("error: no media recovery completed inside the window "
-              "(raise --duration)", file=sys.stderr)
-        return 1
-    return 0
+    media.archive_batch_pages = 4096
+    task[0].recovery.log_mirror = args.mirror
+
+    def observe(system, results) -> int:
+        for stats in system.media.recoveries:
+            print(stats.summary())
+        if not system.media.recoveries or results.media_mttr_mean <= 0:
+            print("error: no media recovery completed inside the window "
+                  "(raise --duration)", file=sys.stderr)
+            return 1
+        return 0
+
+    return (f"scheme={args.scheme} rate={args.rate:g} TPS "
+            f"lose {args.lose} at {args.lose_at:g} s "
+            f"(archive every {args.archive_interval:g} s"
+            f"{', mirrored log' if args.mirror else ''})"), task, observe
 
 
-def _cmd_recovery(args) -> int:
+@_one_off
+def _cmd_recovery(args):
     """Run one crashed simulation and the analytic model side by side."""
-    from repro.analysis.recovery import RecoveryModel  # noqa: F401 (doc)
     from repro.recovery import matched_recovery_model
 
     if args.media:
         return _cmd_recovery_media(args)
-    strategy = UpdateStrategy.FORCE if args.force else \
-        UpdateStrategy.NOFORCE
-    if args.interval <= 0:
-        print(f"error: --interval must be positive, got {args.interval:g}",
-              file=sys.stderr)
-        return 2
     crash_at = args.crash_at if args.crash_at is not None \
         else 1.5 * args.interval
-    if crash_at <= 0:
-        print(f"error: --crash-at must be positive, got {crash_at:g}",
-              file=sys.stderr)
-        return 2
-    config = debit_credit_config(SCHEMES[args.scheme](),
-                                 update_strategy=strategy)
+    # Generous default: the window must contain the crash and the full
+    # restart, or no crash completes inside measurement.
+    task = _debit_credit(args, max(20.0, 4.0 * crash_at))
+    config = task[0]
     config.recovery.enabled = True
     config.recovery.checkpoint_interval = args.interval
     config.recovery.crash_times = (crash_at,)
-    config.validate()
-    if crash_at <= args.warmup:
-        print("error: the crash must fall inside the measured window "
-              f"(crash at {crash_at:g} s <= warmup {args.warmup:g} s)",
-              file=sys.stderr)
-        return 2
-    duration = args.duration
-    if duration is None:
-        # Generous default: the window must contain the crash and the
-        # full restart, or no crash completes inside measurement.
-        duration = max(20.0, 4.0 * crash_at)
+    strategy = config.cm.update_strategy
 
-    system = TransactionSystem(
-        config, DebitCreditWorkload(arrival_rate=args.rate),
-        seed=args.seed,
-    )
-    results = system.run(warmup=args.warmup, duration=duration)
-    print(f"scheme={args.scheme} strategy={strategy.value} "
-          f"rate={args.rate:g} TPS interval={args.interval:g} s "
-          f"crash at {crash_at:g} s")
-    print(results.summary())
-    restarts = system.recovery.crash_controller.restarts
-    for stats in restarts:
-        print("simulated " + stats.summary())
-
-    model = matched_recovery_model(config, update_tps=args.rate)
-    estimate = model.estimate(strategy)
-    print("analytic  " + estimate.summary()
-          + f"  [{strategy.value}, matched devices]")
-    if restarts:
-        simulated = restarts[-1].total
-        if estimate.total > 0:
+    def observe(system, results) -> None:
+        restarts = system.recovery.crash_controller.restarts
+        for stats in restarts:
+            print("simulated " + stats.summary())
+        estimate = matched_recovery_model(
+            config, update_tps=args.rate).estimate(strategy)
+        print("analytic  " + estimate.summary()
+              + f"  [{strategy.value}, matched devices]")
+        if restarts and estimate.total > 0:
             print(f"simulated/analytic ratio: "
-                  f"{simulated / estimate.total:.2f} (the analytic "
-                  f"model assumes 3 distinct pages per update tx and "
-                  f"50% already propagated; the simulation measures "
-                  f"both)")
-    return 0
+                  f"{restarts[-1].total / estimate.total:.2f} (the "
+                  f"analytic model assumes 3 distinct pages per update "
+                  f"tx and 50% already propagated; the simulation "
+                  f"measures both)")
+
+    return (f"scheme={args.scheme} strategy={strategy.value} "
+            f"rate={args.rate:g} TPS interval={args.interval:g} s "
+            f"crash at {crash_at:g} s"), task, observe
 
 
-def _cmd_cluster(args) -> int:
+@_one_off
+def _cmd_cluster(args):
     """Run one cluster simulation and report the 2PC/cost numbers."""
     from repro.cluster import cluster_config, node_scheme
     from repro.cluster.workload import ShardedDebitCreditWorkload
 
-    if args.nodes < 1:
-        print(f"error: --nodes must be >= 1, got {args.nodes}",
-              file=sys.stderr)
-        return 2
-    if not 0.0 <= args.dist <= 1.0:
-        print(f"error: --dist must be in [0, 1], got {args.dist:g}",
-              file=sys.stderr)
-        return 2
-    crash_schedule = ()
-    if args.crash_at is not None:
-        if args.crash_at <= args.warmup:
-            print("error: the crash must fall inside the measured "
-                  f"window (crash at {args.crash_at:g} s <= warmup "
-                  f"{args.warmup:g} s)", file=sys.stderr)
-            return 2
-        if not 0 <= args.crash_node < args.nodes:
-            print(f"error: --crash-node {args.crash_node} out of range "
-                  f"for {args.nodes} node(s)", file=sys.stderr)
-            return 2
-        crash_schedule = ((args.crash_node, args.crash_at),)
     config = cluster_config(
         scheme=node_scheme(log=args.log),
         num_nodes=args.nodes,
         mpl=args.mpl,
         gem_failover_delay=args.failover_delay,
-        crash_schedule=crash_schedule,
+        crash_schedule=() if args.crash_at is None
+        else ((args.crash_node, args.crash_at),),
         checkpoint_interval=args.interval,
         seed=args.seed,
     )
@@ -681,22 +654,23 @@ def _cmd_cluster(args) -> int:
         config, arrival_rate_per_node=args.rate,
         distributed_fraction=args.dist,
     )
-    system = config.build_system(workload, seed=args.seed)
-    results = system.run(warmup=args.warmup, duration=args.duration)
-    print(f"nodes={args.nodes} log={args.log} rate={args.rate:g} "
-          f"TPS/node dist={args.dist:g}")
-    print(results.summary())
-    for share in system.node_results():
-        print(f"  node {share.node_id}: {share.committed} committed, "
-              f"cpu {share.cpu_utilization * 100:5.1f} %")
-    messages = system.message_stats()
-    if messages.get("messages"):
-        pairs = ", ".join(f"{kind}={count}" for kind, count in
-                          sorted(messages.items()) if kind != "messages")
-        print(f"  messages: {messages['messages']} ({pairs})")
-    for node_id, stats in system.faults.restarts:
-        print(f"  node {node_id} " + stats.summary())
-    return 0
+
+    def observe(system, results) -> None:
+        for share in system.node_results():
+            print(f"  node {share.node_id}: {share.committed} committed, "
+                  f"cpu {share.cpu_utilization * 100:5.1f} %")
+        messages = system.message_stats()
+        if messages.get("messages"):
+            pairs = ", ".join(f"{kind}={count}" for kind, count in
+                              sorted(messages.items())
+                              if kind != "messages")
+            print(f"  messages: {messages['messages']} ({pairs})")
+        for node_id, stats in system.faults.restarts:
+            print(f"  node {node_id} " + stats.summary())
+
+    return (f"nodes={args.nodes} log={args.log} rate={args.rate:g} "
+            f"TPS/node dist={args.dist:g}"), \
+        (config, workload, args.warmup, args.duration, args.seed), observe
 
 
 def _cmd_trace(args) -> int:
@@ -782,23 +756,26 @@ def _cmd_trace_gen(args) -> int:
     return 0
 
 
-def _cmd_trace_run(args) -> int:
-    from repro.experiments.trace_setup import trace_config
-    from repro.workload.trace import TraceWorkload, read_trace
+@_one_off
+def _cmd_trace_run(args):
+    """Replay a trace file against a storage configuration."""
+    from repro.experiments.trace_setup import trace_config, trace_workload
+    from repro.workload.trace import read_trace
 
     trace = read_trace(args.trace)
     config = trace_config(trace, args.kind, args.mm,
                           second_level=args.second, seed=args.seed)
-    workload = TraceWorkload(trace, arrival_rate=args.rate, loop=True)
-    system = TransactionSystem(config, workload, seed=args.seed)
-    results = system.run(warmup=4.0, duration=args.duration)
     mean_size = trace.mean_tx_size
-    print(f"trace={args.trace} kind={args.kind} mm={args.mm} "
-          f"second={args.second}")
-    print(results.summary())
-    print(f"normalized response ({mean_size:.1f}-access tx): "
-          f"{results.normalized_response_time(mean_size) * 1000:.1f} ms")
-    return 0
+
+    def observe(system, results) -> None:
+        print(f"normalized response ({mean_size:.1f}-access tx): "
+              f"{results.normalized_response_time(mean_size) * 1000:.1f}"
+              " ms")
+
+    return (f"trace={args.trace} kind={args.kind} mm={args.mm} "
+            f"second={args.second}"), \
+        (config, trace_workload(trace, args.rate), 4.0, args.duration,
+         args.seed), observe
 
 
 def _cmd_registry(args) -> int:
@@ -862,7 +839,9 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
+    args.argv = argv
     handlers = {
         "run": _cmd_run,
         "experiment": _cmd_experiment,

@@ -27,7 +27,7 @@ point cache fingerprints it field-by-field: changing ``num_nodes``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cluster.messages import CouplingConfig
 from repro.core.config import (
@@ -153,6 +153,11 @@ class ClusterConfig:
                     "crash schedule instants must be strictly increasing"
                 )
             previous = instant
+
+    def failure_instants(self) -> List[Tuple[str, float]]:
+        """``(what, instant)`` of every scheduled node crash."""
+        return [(f"crash of node {node_id}", instant)
+                for node_id, instant in self.crash_schedule]
 
     @property
     def total_branches(self) -> int:

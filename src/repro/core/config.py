@@ -805,6 +805,13 @@ class SystemConfig:
         for tx_type in self.tx_types:
             tx_type.validate(names)
 
+    def failure_instants(self) -> List[Tuple[str, float]]:
+        """``(what, instant)`` of every scheduled crash and media loss."""
+        crashes = self.recovery.crash_times if self.recovery.enabled else ()
+        return [("crash", instant) for instant in crashes] + [
+            (f"loss of {fault.device}", fault.time)
+            for fault in self.media.faults if fault.kind == "loss"]
+
     @property
     def theoretical_mips(self) -> float:
         """Aggregate CPU capacity in MIPS."""

@@ -12,7 +12,9 @@ open system driven beyond capacity grows its queue without bound; such
 runs are marked ``saturated`` (the paper simply does not plot those
 points, e.g. the single-log-disk curve in Fig. 4.1 ends near 200 TPS).
 That discipline is :func:`measured_run`, which the multi-node
-:class:`~repro.cluster.system.ClusterSystem` runs too.
+:class:`~repro.cluster.system.ClusterSystem` runs too.  It also owns
+the run-window rule of :func:`check_run_window`: a non-empty measured
+window, and a scheduled crash or media loss inside it.
 """
 
 from __future__ import annotations
@@ -28,10 +30,27 @@ from repro.core.tm import TransactionManager
 from repro.sim import Environment, RandomStreams
 from repro.storage.hierarchy import StorageSubsystem
 
-__all__ = ["TransactionSystem", "measured_run", "observe"]
+__all__ = ["TransactionSystem", "check_run_window", "measured_run",
+           "observe"]
 
 #: Queue samples per measurement window (one per slice).
 SLICES = 20
+
+
+def check_run_window(config, start: float, warmup: float,
+                     duration: float) -> None:
+    """Reject a negative warm-up, an empty measured window, and a crash
+    or media loss (``config.failure_instants()``) at or before the end
+    of a warm-up that starts at ``start``: only the measured window
+    reports its outage.  Transient faults may fall anywhere."""
+    if warmup < 0 or duration <= 0:
+        raise ValueError("warmup must be >= 0 and duration > 0")
+    end = start + warmup
+    for what, instant in config.failure_instants():
+        if instant <= end:
+            raise ValueError(
+                f"the {what} must fall inside the measured window "
+                f"({what} at {instant:g} s <= end of warmup {end:g} s)")
 
 
 def measured_run(system, warmup: float, duration: float,
@@ -46,10 +65,10 @@ def measured_run(system, warmup: float, duration: float,
     measurement stops early: response times of a diverging open system
     are unbounded anyway.  The host system supplies ``start_workload``
     / ``_reset_measurements`` / ``snapshot`` plus an admission queue
-    via ``tm.input_queue_length``.
+    via ``tm.input_queue_length``, and a ``config`` whose failures
+    must pass :func:`check_run_window`.
     """
-    if warmup < 0 or duration <= 0:
-        raise ValueError("warmup must be >= 0 and duration > 0")
+    check_run_window(system.config, system.env.now, warmup, duration)
     if saturation_queue_limit is None:
         saturation_queue_limit = default_queue_limit
     system.start_workload()

@@ -17,8 +17,9 @@ Figure modules register
 :class:`~repro.experiments.api.ExperimentSpec` factories under stable
 ids (``@experiment("fig4_1")``); the
 :class:`~repro.experiments.api.ExperimentRunner` evaluates them, in
-process or through its process pool, and is the only caller of
-:func:`_evaluate_point`.
+process or through its process pool, through :func:`_evaluate_point`.
+The CLI's one-off commands (``repro run``, ``recovery``, ``cluster``,
+``trace-run``) hand it a single task directly.
 """
 
 from __future__ import annotations

@@ -420,3 +420,44 @@ class TestRecoveryCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "--interval" in err
+
+
+class TestOneOffErrors:
+    """Building and validating a one-off command's point is guarded:
+    a bad option exits 2 with one ``error:`` line naming it."""
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["run", "--duration", "0"], "warmup must be >= 0 and duration > 0"),
+        (["cluster", "--nodes", "0"], "cluster needs at least one node"),
+        (["cluster", "--dist", "2"], "distributed fraction must be in"),
+        (["cluster", "--crash-at", "5", "--crash-node", "7"],
+         "crash schedule names node 7, cluster has 4"),
+        (["recovery", "--interval", "0"],
+         "checkpoint_interval must be positive"),
+        (["recovery", "--media", "--mirror"],
+         "log_mirror requires an NVEM-resident log"),
+        (["recovery", "--crash-at", "2"],
+         "the crash must fall inside the measured window "
+         "(crash at 2 s <= end of warmup 2 s)"),
+        (["recovery", "--media", "--lose-at", "1.5"],
+         "the loss of db0 must fall inside the measured window "
+         "(loss of db0 at 1.5 s <= end of warmup 2 s)"),
+        (["cluster", "--crash-at", "3"],
+         "the crash of node 0 must fall inside the measured window"),
+    ])
+    def test_rejected_with_exit_2(self, argv, reason, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert reason in captured.err
+        assert " ".join(argv) in captured.err
+
+    def test_simulation_errors_keep_their_traceback(self, monkeypatch):
+        def fail(task, configure=None, observe=None):
+            raise ValueError("raised while simulating")
+
+        monkeypatch.setattr("repro.cli._evaluate_point", fail)
+        with pytest.raises(ValueError, match="raised while simulating"):
+            main(["run", "--duration", "1", "--warmup", "0.5"])

@@ -13,6 +13,8 @@ deadlock-restart loop, with every commit protocol as a hook on them.
 
 A third keeps the metrics collector subsystem-agnostic: recovery,
 cluster and observability accounting live in their own Results blocks.
+
+A fourth keeps the CLI's one-off commands on the sweep-point path.
 """
 
 import ast
@@ -114,6 +116,15 @@ def test_one_transaction_execute_loop():
                          if f in ref_loops], ref_loops
     restart_loops = _callers("reset_for_restart")
     assert len(restart_loops) == 1, restart_loops
+
+
+def test_cli_builds_and_runs_no_system_by_hand():
+    """The one-off commands hand a task to ``runner._evaluate_point``,
+    which builds, runs and tears down every point; a system built or
+    run in the CLI would be a second evaluation path."""
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    for call in ("TransactionSystem(", "build_system(", ".run(warmup="):
+        assert call not in source, call
 
 
 #: Packages that own a Results block, and the fields those blocks fill.
